@@ -24,7 +24,7 @@ from pathlib import Path
 from .oracle import AbstractResponse, Oracle
 from .preprocess import CommandKind, InputError, MacroCommand, PaddingMode
 from .rtcam import LookupScope, MatchMode
-from .sdr import Bits, LayoutError, SdrLayout, concat
+from .sdr import Bits, LayoutError, SdrLayout
 from .state_machine import Outcome
 from .system import DEFAULT_LAYOUT, NertcamConfig, Response, System
 from .traces import (ParseError, TraceRecord, load_config, load_trace,
@@ -159,8 +159,7 @@ def _record_report(seq: int, rec: TraceRecord, resp: Response | None,
         rep["padding"] = rec.padding
     rep["outcome"] = outcome
     if resp is not None:
-        rep["classes"] = list(resp.classes.hot_positions or
-                              resp.prediction.classes.hot_positions)
+        rep["classes"] = list(resp.classes.hot_positions)
         rep["features"] = list(resp.prediction.features.hot_positions)
         rep["locations"] = list(resp.prediction.locations.hot_positions)
         rep["cycles"] = resp.cycles
@@ -247,15 +246,11 @@ class Divergence:
     oracle_value: str
 
 
-def _compare(kind: CommandKind, resp: Response, abst: AbstractResponse) -> list[str]:
+def _compare(resp: Response, abst: AbstractResponse) -> list[str]:
     bad = []
     if resp.outcome is not abst.outcome:
         bad.append("outcome")
-    if kind is CommandKind.INFER:
-        sys_classes = set(resp.classes.hot_positions)
-    else:
-        sys_classes = set(resp.prediction.classes.hot_positions)
-    if sys_classes != set(abst.classes):
+    if set(resp.classes.hot_positions) != set(abst.classes):
         bad.append("classes")
     if set(resp.prediction.features.hot_positions) != set(abst.features):
         bad.append("features")
@@ -289,12 +284,12 @@ def diff_records(system: System, oracle: Oracle,
         except (InputError, ParseError, LayoutError):
             continue  # oracle only models validated commands
         abst = oracle.apply(cmd)
-        bad = _compare(cmd.kind, resp, abst)
+        bad = _compare(resp, abst)
         if not _valid_bits_mirror_oracle(system, oracle):
             bad.append("valid_bits")
         if bad:
             sys_view = (f"outcome={resp.outcome.value} "
-                        f"classes={sorted(resp.classes.hot_positions) or sorted(resp.prediction.classes.hot_positions)} "
+                        f"classes={sorted(resp.classes.hot_positions)} "
                         f"features={sorted(resp.prediction.features.hot_positions)} "
                         f"locations={sorted(resp.prediction.locations.hot_positions)} "
                         f"full={resp.full}")
@@ -379,15 +374,8 @@ def run_bench(layout: SdrLayout, entries_list: list[int], iterations: int,
                 seen.add(t)
                 triplets.append(t)
 
-        def _cmd(kind: CommandKind, f=None, l=None, c=None, padding=0) -> MacroCommand:
-            sections = concat(
-                Bits.one_hot(layout.feature_bits, f) if f is not None
-                else Bits.zeros(layout.feature_bits),
-                Bits.one_hot(layout.location_bits, l) if l is not None
-                else Bits.zeros(layout.location_bits),
-                Bits.one_hot(layout.class_bits, c) if c is not None
-                else Bits.zeros(layout.class_bits))
-            return MacroCommand(kind, sections, padding=padding)
+        def _cmd(kind: CommandKind, f=None, l=None, c=None) -> MacroCommand:
+            return MacroCommand(kind, layout.triplet(f, l, c))
 
         t0 = time.perf_counter()
         for f, l, c in triplets:
@@ -397,9 +385,7 @@ def run_bench(layout: SdrLayout, entries_list: list[int], iterations: int,
                         "mean_us": store_s / len(triplets) * 1e6,
                         "ops_per_s": len(triplets) / store_s})
 
-        probe = concat(Bits.one_hot(layout.feature_bits, triplets[0][0]),
-                       Bits.one_hot(layout.location_bits, triplets[0][1]),
-                       Bits.one_hot(layout.class_bits, triplets[0][2]))
+        probe = layout.triplet(*triplets[0])
         dc = Bits.zeros(layout.total)
         t0 = time.perf_counter()
         for _ in range(iterations):

@@ -28,27 +28,23 @@ class PredictionOutput:
         return self.features.is_zero and self.locations.is_zero and self.classes.is_zero
 
 
-def empty_output(layout: SdrLayout) -> PredictionOutput:
-    return PredictionOutput(Bits.zeros(layout.feature_bits),
-                            Bits.zeros(layout.location_bits),
-                            Bits.zeros(layout.class_bits))
-
-
-def condense(matched: Sequence[Entry], kind: CommandKind,
+def condense(matched: Sequence[Entry] | None, kind: CommandKind,
              layout: SdrLayout) -> PredictionOutput:
-    """OR-reduce the matched rows' sections, gated by command kind."""
-    if kind not in (CommandKind.PREDICT_FEATURE, CommandKind.PREDICT_LOCATION):
-        return empty_output(layout)
+    """OR-reduce the matched rows' sections, gated by command kind.
+
+    Non-PREDICT kinds, whose matched is None, get an all-zero triple.
+    """
     features = locations = classes = 0
-    for e in matched:
-        f, l, c = layout.split(e.sdr)
-        features |= f.value
-        locations |= l.value
-        classes |= c.value
-    if kind is CommandKind.PREDICT_FEATURE:
-        locations = 0
-    else:
-        features = 0
+    if kind is CommandKind.PREDICT_FEATURE or kind is CommandKind.PREDICT_LOCATION:
+        for e in matched:
+            f, l, c = layout.split(e.sdr)
+            features |= f.value
+            locations |= l.value
+            classes |= c.value
+        if kind is CommandKind.PREDICT_FEATURE:
+            locations = 0
+        else:
+            features = 0
     return PredictionOutput(Bits(features, layout.feature_bits),
                             Bits(locations, layout.location_bits),
                             Bits(classes, layout.class_bits))

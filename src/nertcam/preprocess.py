@@ -37,12 +37,6 @@ class CommandKind(str, Enum):
     PREDICT_LOCATION = "PREDICT_LOCATION"
 
 
-#: Commands whose transition sequence spans more than one clock cycle.
-MULTI_CYCLE_KINDS = frozenset(
-    {CommandKind.STORE, CommandKind.DELETE, CommandKind.INFER}
-)
-
-
 @dataclass(frozen=True)
 class MacroCommand:
     """One agent command: kind, input SDR, and location-padding amount."""

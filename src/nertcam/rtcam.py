@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .sdr import Bits, SdrLayout, concat
+from .sdr import Bits, LayoutError, SdrLayout
 
 
 class LookupScope(Enum):
@@ -46,16 +46,6 @@ class Entry:
     empty: bool = True
 
 
-@dataclass
-class RtcamOutputs:
-    """Registered outputs after the most recent micro-op."""
-
-    mem_out: list[Entry]
-    valid_entry: bool
-    infer_class_out: Bits
-    full: bool
-
-
 class MemoryArray:
     """Fixed-capacity array of Entry rows with the six micro-ops.
 
@@ -70,9 +60,7 @@ class MemoryArray:
         self.capacity = capacity
         self.entries: list[Entry] = [Entry(Bits.zeros(layout.total)) for _ in range(capacity)]
         self._occupied = 0
-        self._match: tuple[bool, ...] = (False,) * capacity
         self._valid_entry = False
-        self._infer_class_out = Bits.zeros(layout.class_bits)
 
     @property
     def full(self) -> bool:
@@ -93,9 +81,7 @@ class MemoryArray:
             e.valid = True
             e.empty = True
         self._occupied = 0
-        self._match = (False,) * self.capacity
         self._valid_entry = False
-        self._infer_class_out = Bits.zeros(self.layout.class_bits)
 
     def micro_reset(self) -> None:
         """Set every valid bit back to 1; stored triplets are untouched."""
@@ -129,9 +115,8 @@ class MemoryArray:
             e.valid = hit
             match.append(hit)
             any_hit |= hit
-        self._match = tuple(match)
         self._valid_entry = any_hit
-        return self._match, any_hit
+        return tuple(match), any_hit
 
     def micro_validate(self) -> Bits:
         """Close the valid set over classes and emit the k-hot class vector.
@@ -147,14 +132,12 @@ class MemoryArray:
         for e in self.entries:
             if e.valid and not e.empty:
                 union |= e.sdr.value & class_mask
-        classes = Bits(union, self.layout.class_bits)
-        query = concat(Bits.zeros(self.layout.feature_bits),
-                       Bits.zeros(self.layout.location_bits), classes)
-        dc = concat(Bits.ones(self.layout.feature_bits),
-                    Bits.ones(self.layout.location_bits), classes.invert())
+        total = self.layout.total
+        # the class section is the lowest, so the union is already in place
+        query = Bits(union, total)
+        dc = Bits(((1 << total) - 1) ^ union, total)
         self.micro_lookup(query, dc, LookupScope.ALL, MatchMode.MEMBERSHIP)
-        self._infer_class_out = classes
-        return classes
+        return Bits(union, self.layout.class_bits)
 
     def micro_store(self, triplet: Bits) -> int | None:
         """Write the triplet into the lowest-index empty row.
@@ -174,14 +157,15 @@ class MemoryArray:
         return None
 
     def micro_delete(self) -> int:
-        """Mark every row matched by the preceding lookup as empty.
+        """Mark every valid, non-empty row as empty.
 
-        Contents stay in place but are dead. Returns the number of rows
-        released.
+        A lookup leaves exactly its matched rows valid, so after one this
+        releases what it matched. Contents stay in place but are dead.
+        Returns the number of rows released.
         """
         released = 0
-        for e, hit in zip(self.entries, self._match):
-            if hit and not e.empty:
+        for e in self.entries:
+            if e.valid and not e.empty:
                 e.empty = True
                 released += 1
         self._occupied -= released
@@ -189,13 +173,9 @@ class MemoryArray:
 
     # --- reads and valid-bit bookkeeping ---------------------------------
 
-    def read_outputs(self) -> RtcamOutputs:
-        """Pure read of the most recent micro-op's results."""
-        mem_out = [e for e, hit in zip(self.entries, self._match) if hit]
-        return RtcamOutputs(mem_out, self._valid_entry, self._infer_class_out, self.full)
-
     def matched_rows(self) -> list[Entry]:
-        return [e for e, hit in zip(self.entries, self._match) if hit]
+        """Valid, non-empty rows: after a lookup, exactly the rows it matched."""
+        return [e for e in self.entries if e.valid and not e.empty]
 
     @property
     def valid_entry(self) -> bool:
@@ -228,11 +208,16 @@ class MemoryArray:
             if len(parts) != 4:
                 raise ValueError(f"image line {n + 1}: expected 4 fields, got {len(parts)}")
             index, bits_text, v, e = parts
+            if not (index.isascii() and index.isdigit()):
+                raise ValueError(f"image line {n + 1}: index {index!r} is not an integer")
             if int(index) != len(rows):
                 raise ValueError(f"image line {n + 1}: index {index} out of order")
             if v not in ("0", "1") or e not in ("0", "1"):
                 raise ValueError(f"image line {n + 1}: V/E must be 0 or 1")
-            sdr = layout.parse(bits_text)
+            try:
+                sdr = layout.parse(bits_text)
+            except LayoutError as exc:
+                raise LayoutError(f"image line {n + 1}: {exc}") from exc
             rows.append(Entry(sdr, valid=v == "1", empty=e == "1"))
         if not rows:
             raise ValueError("memory image has no rows")

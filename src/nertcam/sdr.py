@@ -159,12 +159,28 @@ class SdrLayout:
         class_ = Bits(sdr.value & ((1 << self.class_bits) - 1), self.class_bits)
         return feature, location, class_
 
-    def join(self, feature: Bits, location: Bits, class_: Bits) -> Bits:
-        widths = (feature.width, location.width, class_.width)
-        expected = (self.feature_bits, self.location_bits, self.class_bits)
-        if widths != expected:
-            raise LayoutError(f"section widths {widths} != layout {expected}")
-        return concat(feature, location, class_)
+    def triplet(self, feature: int | Bits | None = None, location: int | None = None,
+                class_: int | None = None) -> Bits:
+        """Full-width SDR from each section's hot index; a missing section is zero.
+
+        A k-hot feature section may be passed as Bits of the feature width.
+        """
+        value = 0
+        for name, width, hot in (("feature", self.feature_bits, feature),
+                                 ("location", self.location_bits, location),
+                                 ("class", self.class_bits, class_)):
+            value <<= width
+            if hot is None:
+                continue
+            if isinstance(hot, Bits):
+                if hot.width != width:
+                    raise LayoutError(f"{name} section width {hot.width} != layout {width}")
+                value |= hot.value
+            elif 0 <= hot < width:
+                value |= 1 << (width - 1 - hot)
+            else:
+                raise LayoutError(f"{name} index {hot} outside width {width}")
+        return Bits(value, self.total)
 
     def parse(self, text: str) -> Bits:
         return Bits.parse(text, width=self.total)

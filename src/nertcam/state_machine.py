@@ -32,7 +32,7 @@ a prediction never disturbs an identification in progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .preprocess import CommandKind
@@ -53,7 +53,6 @@ class Outcome(str, Enum):
     DELETE_FAILED = "DELETE_FAILED"
     INFER_FAILED = "INFER_FAILED"
     CONTEXT_SWITCH = "CONTEXT_SWITCH"
-    REJECTED_BUSY = "REJECTED_BUSY"
 
 
 #: Outcomes that assert the error status bit.
@@ -69,7 +68,6 @@ class StatusOut:
     outcome: Outcome
     error: bool
     full: bool
-    busy: bool = False
 
 
 @dataclass(frozen=True)
@@ -86,22 +84,22 @@ class CycleTrace:
 
 @dataclass
 class Completion:
-    """Result of a finished command, consumed by the system facade."""
+    """One command's record, from accept() to the system facade.
 
-    kind: CommandKind
-    outcome: Outcome
-    cycles: int
-    classes: Bits
-    matched: list[Entry] = field(default_factory=list)
+    accept() fills in the command and each step counts a cycle. The final
+    transition sets outcome, plus classes (an INFER's validated k-hot
+    classes, on SUCCESS or CONTEXT_SWITCH) or matched (the rows a PREDICT's
+    lookup hit). Fields a command does not produce stay None.
+    """
 
-
-@dataclass
-class _Pending:
     kind: CommandKind
     query: Bits
     dc: Bits
     cycles: int = 0
     store_full: bool = False
+    outcome: Outcome | None = None
+    classes: Bits | None = None
+    matched: list[Entry] | None = None
 
 
 class Controller:
@@ -111,7 +109,7 @@ class Controller:
         self.memory = memory
         self.state = ControllerState.SS
         self.cycle_count = 0
-        self._pending: _Pending | None = None
+        self._pending: Completion | None = None
         self.completion: Completion | None = None
 
     @property
@@ -122,7 +120,7 @@ class Controller:
         """Arm a command. Rejected (no effect at all) unless idle in SS."""
         if self.busy:
             return False
-        self._pending = _Pending(kind, query, dc)
+        self._pending = Completion(kind, query, dc)
         self.completion = None
         return True
 
@@ -143,13 +141,12 @@ class Controller:
             micro = self._step_ir(p)
         else:
             micro = self._step_sl(p)
-        outcome = self.completion.outcome if self.completion else None
         return CycleTrace(self.cycle_count, before, self.state, micro,
-                          mem.valid_entry, outcome)
+                          mem.valid_entry, p.outcome)
 
     # --- per-state actions -------------------------------------------------
 
-    def _step_ss(self, p: _Pending) -> str:
+    def _step_ss(self, p: Completion) -> str:
         kind = p.kind
         mem = self.memory
         if kind is CommandKind.CLEAR:
@@ -175,7 +172,7 @@ class Controller:
         self.state = ControllerState.FL
         return "lookup"
 
-    def _step_fl(self, p: _Pending) -> str:
+    def _step_fl(self, p: Completion) -> str:
         mem = self.memory
         hit = mem.valid_entry
         if p.kind is CommandKind.STORE:
@@ -203,7 +200,7 @@ class Controller:
         self.state = ControllerState.IR
         return "reset"
 
-    def _step_ir(self, p: _Pending) -> str:
+    def _step_ir(self, p: Completion) -> str:
         mem = self.memory
         if p.kind in (CommandKind.STORE, CommandKind.DELETE):
             mem.micro_reset()
@@ -215,7 +212,7 @@ class Controller:
         self.state = ControllerState.SL
         return "lookup"
 
-    def _step_sl(self, p: _Pending) -> str:
+    def _step_sl(self, p: Completion) -> str:
         mem = self.memory
         if mem.valid_entry:
             classes = mem.micro_validate()
@@ -225,10 +222,11 @@ class Controller:
         self._finish(p, Outcome.INFER_FAILED)
         return "reset"
 
-    def _finish(self, p: _Pending, outcome: Outcome,
+    def _finish(self, p: Completion, outcome: Outcome,
                 classes: Bits | None = None, matched: list[Entry] | None = None) -> None:
-        if classes is None:
-            classes = Bits.zeros(self.memory.layout.class_bits)
-        self.completion = Completion(p.kind, outcome, p.cycles, classes, matched or [])
+        p.outcome = outcome
+        p.classes = classes
+        p.matched = matched
+        self.completion = p
         self.state = ControllerState.SS
         self._pending = None

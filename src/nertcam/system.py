@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .preprocess import (LINEAR_1D, MacroCommand, PaddingMode, build_dc,
                          validate_command)
-from .prediction_map import PredictionOutput, condense, empty_output
+from .prediction_map import PredictionOutput, condense
 from .rtcam import MemoryArray
 from .sdr import Bits, SdrLayout
 from .state_machine import (Controller, CycleTrace, ERROR_OUTCOMES, Outcome,
@@ -55,9 +55,14 @@ class Response:
     """Per-command result: status, k-hot outputs, and the cycle count."""
 
     status: StatusOut
-    classes: Bits                 # k-hot valid classes (INFER paths)
-    prediction: PredictionOutput  # k-hot outputs (PREDICT paths)
+    # k-hot outputs; classes are INFER's validated classes or PREDICT's
+    # condensed ones, features and locations are PREDICT's
+    prediction: PredictionOutput
     cycles: int
+
+    @property
+    def classes(self) -> Bits:
+        return self.prediction.classes
 
     @property
     def outcome(self) -> Outcome:
@@ -124,7 +129,10 @@ class System:
             status = StatusOut(done.outcome, done.outcome in ERROR_OUTCOMES,
                                self.memory.full)
             prediction = condense(done.matched, done.kind, self.layout)
-            self.response = Response(status, done.classes, prediction, done.cycles)
+            if done.classes is not None:
+                prediction = PredictionOutput(prediction.features, prediction.locations,
+                                              done.classes)
+            self.response = Response(status, prediction, done.cycles)
             self.controller.completion = None
         return trace
 
@@ -157,8 +165,3 @@ class System:
         self.controller = Controller(self.memory)
         self.response = None
 
-
-def rejected_busy_response(layout: SdrLayout, full: bool) -> Response:
-    """Response used by replay harnesses when a command is refused while busy."""
-    status = StatusOut(Outcome.REJECTED_BUSY, False, full, busy=True)
-    return Response(status, Bits.zeros(layout.class_bits), empty_output(layout), 0)

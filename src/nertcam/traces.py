@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .preprocess import CommandKind, MacroCommand, PaddingMode
-from .sdr import Bits, LayoutError, SdrLayout, concat
+from .sdr import Bits, LayoutError, SdrLayout
 from .system import ConfigError, DEFAULT_LAYOUT, NertcamConfig
 
 
@@ -60,6 +60,11 @@ class TraceRecord:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _is_int(v: object) -> bool:
+    """A JSON integer; bools are ints in Python but not here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_record(text: str, line: int = 0) -> TraceRecord:
     try:
         obj = json.loads(text)
@@ -78,7 +83,7 @@ def parse_record(text: str, line: int = 0) -> TraceRecord:
         v = obj.get(name)
         if v is None:
             return None
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not _is_int(v) or v < 0:
             raise ParseError(f"line {line}: {name} must be a non-negative integer")
         return v
 
@@ -105,28 +110,16 @@ def load_trace(path: str | Path) -> list[TraceRecord]:
 
 def record_to_command(rec: TraceRecord, layout: SdrLayout) -> MacroCommand:
     """Build the full-width command SDR from a record's indices."""
-
-    def _one_hot(width: int, index: int | None, name: str) -> Bits:
-        if index is None:
-            return Bits.zeros(width)
-        if index >= width:
-            raise ParseError(f"line {rec.line}: {name} index {index} "
-                             f"outside width {width}")
-        return Bits.one_hot(width, index)
-
-    if rec.feature_bits is not None:
-        if rec.feature is not None:
-            raise ParseError(f"line {rec.line}: give feature or feature_bits, not both")
-        try:
+    feature: int | Bits | None = rec.feature
+    if rec.feature_bits is not None and feature is not None:
+        raise ParseError(f"line {rec.line}: give feature or feature_bits, not both")
+    try:
+        if rec.feature_bits is not None:
             feature = Bits.parse(rec.feature_bits, width=layout.feature_bits)
-        except LayoutError as exc:
-            raise ParseError(f"line {rec.line}: {exc}") from exc
-    else:
-        feature = _one_hot(layout.feature_bits, rec.feature, "feature")
-    location = _one_hot(layout.location_bits, rec.location, "location")
-    class_ = _one_hot(layout.class_bits, rec.class_, "class")
-    return MacroCommand(CommandKind(rec.op), concat(feature, location, class_),
-                        padding=rec.padding)
+        sdr = layout.triplet(feature, rec.location, rec.class_)
+    except LayoutError as exc:
+        raise ParseError(f"line {rec.line}: {exc}") from exc
+    return MacroCommand(CommandKind(rec.op), sdr, padding=rec.padding)
 
 
 # --- config files ----------------------------------------------------------
@@ -156,22 +149,30 @@ def config_from_json(text: str) -> NertcamConfig:
     unknown = set(obj) - known
     if unknown:
         raise ParseError(f"unknown config fields {sorted(unknown)}")
+
+    def _int(name: str, default: int) -> int:
+        v = obj.get(name, default)
+        if not _is_int(v):
+            raise ParseError(f"config field {name!r} must be an integer, got {v!r}")
+        return v
+
     layout = SdrLayout(
-        feature_bits=int(obj.get("feature_bits", DEFAULT_LAYOUT.feature_bits)),
-        location_bits=int(obj.get("location_bits", DEFAULT_LAYOUT.location_bits)),
-        class_bits=int(obj.get("class_bits", DEFAULT_LAYOUT.class_bits)),
+        feature_bits=_int("feature_bits", DEFAULT_LAYOUT.feature_bits),
+        location_bits=_int("location_bits", DEFAULT_LAYOUT.location_bits),
+        class_bits=_int("class_bits", DEFAULT_LAYOUT.class_bits),
     )
     grid = obj.get("grid")
     if grid is not None:
-        if (not isinstance(grid, list) or len(grid) != 2
-                or not all(isinstance(g, int) for g in grid)):
+        if not isinstance(grid, list) or len(grid) != 2 or not all(map(_is_int, grid)):
             raise ParseError("grid must be a two-element integer list [rows, cols]")
         mode = PaddingMode.grid(grid[0], grid[1])
     else:
         mode = PaddingMode.linear()
-    config = NertcamConfig(layout=layout, capacity=int(obj.get("entries", 1024)),
-                           padding_mode=mode,
-                           khot_features=bool(obj.get("khot_features", False)))
+    khot = obj.get("khot_features", False)
+    if not isinstance(khot, bool):
+        raise ParseError(f"config field 'khot_features' must be true or false, got {khot!r}")
+    config = NertcamConfig(layout=layout, capacity=_int("entries", 1024),
+                           padding_mode=mode, khot_features=khot)
     try:
         config.validate()
     except ConfigError as exc:

@@ -1,6 +1,6 @@
 import pytest
 
-from nertcam import Bits, SdrLayout, concat
+from nertcam import SdrLayout
 
 
 @pytest.fixture
@@ -12,11 +12,3 @@ def layout333():
 def layout444():
     return SdrLayout(4, 4, 4)
 
-
-def one_hot_sdr(layout, feature=None, location=None, class_=None):
-    """Full-width SDR with the given hot indices; omitted sections are zero."""
-    def section(width, index):
-        return Bits.zeros(width) if index is None else Bits.one_hot(width, index)
-    return concat(section(layout.feature_bits, feature),
-                  section(layout.location_bits, location),
-                  section(layout.class_bits, class_))

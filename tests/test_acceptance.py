@@ -13,7 +13,6 @@ from nertcam.cli import (diff_records, fuzz_records, generate_dataset,
                          oracle_for, run_bench, store_trace)
 from nertcam.traces import record_to_command
 
-from conftest import one_hot_sdr
 
 FULL_SCALE = SdrLayout(128, 25, 10)  # 163-bit SDRs, 165-bit rows
 
@@ -107,7 +106,7 @@ def test_c4_oracle_equivalence():
 
 def _infer(system, feature, location):
     return system.run(MacroCommand(
-        CommandKind.INFER, one_hot_sdr(system.layout, feature, location)))
+        CommandKind.INFER, system.layout.triplet(feature, location)))
 
 
 def _reset(system):
@@ -162,7 +161,7 @@ def test_c5_sequential_identification():
         for c, mapping in overlapping.items():
             for loc, feat in mapping.items():
                 resp = system.run(MacroCommand(
-                    CommandKind.STORE, one_hot_sdr(FULL_SCALE, feat, loc, c)))
+                    CommandKind.STORE, FULL_SCALE.triplet(feat, loc, c)))
                 assert resp.outcome is Outcome.SUCCESS
 
         for _ in range(100):
@@ -203,7 +202,7 @@ def test_c6_context_switch_detection():
             for loc, feat in mapping.items():
                 assert system.run(MacroCommand(
                     CommandKind.STORE,
-                    one_hot_sdr(layout, feat, loc, c))).outcome is Outcome.SUCCESS
+                    layout.triplet(feat, loc, c))).outcome is Outcome.SUCCESS
         return system
 
     with criterion(6, "context-switch detection"):
@@ -248,8 +247,7 @@ def test_c7_capacity_at_full_scale():
         system = System(NertcamConfig(layout=FULL_SCALE, capacity=1024))
 
         def triplet(i):
-            return one_hot_sdr(FULL_SCALE, i % 128, (i // 128) % 25,
-                               (i // 3200) % 10)
+            return FULL_SCALE.triplet(i % 128, (i // 128) % 25, (i // 3200) % 10)
 
         for i in range(1024):
             resp = system.run(MacroCommand(CommandKind.STORE, triplet(i)))
@@ -271,9 +269,9 @@ def test_c8_scaling_smoke():
     with criterion(8, "scaling smoke (lookup under 1 ms, at-most-linear)"):
         mem = MemoryArray(FULL_SCALE, 1024)
         for i in range(1024):
-            mem.micro_store(one_hot_sdr(FULL_SCALE, i % 128, (i // 128) % 25,
-                                        (i // 3200) % 10))
-        probe = one_hot_sdr(FULL_SCALE, 5, 3, 1)
+            mem.micro_store(FULL_SCALE.triplet(i % 128, (i // 128) % 25,
+                                               (i // 3200) % 10))
+        probe = FULL_SCALE.triplet(5, 3, 1)
         dc = Bits.zeros(FULL_SCALE.total)
         best = min(_timed(mem, probe, dc) for _ in range(30))
         assert best < 1e-3  # single 163-bit lookup across 1024 rows

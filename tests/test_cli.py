@@ -1,11 +1,13 @@
 """End-to-end CLI: dataset generation, trace replay, diff, and bench."""
 
+import hashlib
 import json
 
 import pytest
 
 from nertcam import SdrLayout
-from nertcam.cli import generate_dataset, infer_trace, main, store_trace
+from nertcam.cli import (fuzz_records, generate_dataset, infer_trace, main,
+                         store_trace)
 
 L_SMALL = SdrLayout(8, 9, 4)  # 3x3 grid
 
@@ -268,3 +270,85 @@ def test_diff_divergence_exits_two(tmp_path, capsys, monkeypatch):
     assert out["divergences"] == 1
     assert out["seq"] == 3
     assert out["fields"] == ["classes"]
+
+
+# --- golden output ---------------------------------------------------------------
+
+
+_GOLDEN_GEN = ["gen", "--classes", "4", "--grid", "3,3", "--features", "8",
+               "--layout", "8,9,4", "--samples", "2", "--seed", "3",
+               "--order", "random", "--out-dir", "data"]
+
+
+def _write_trace(name, records):
+    with open(name, "w") as fh:
+        fh.writelines(r.to_json() + "\n" for r in records)
+    return name
+
+
+def _golden_args(case):
+    """Build a case's inputs under the current directory; return its argv."""
+    replay = ["run", "--layout", "8,9,4", "--entries", "128",
+              "--trace", "data/store.trace", "--trace", "data/infer.trace"]
+    if case == "gen":
+        return _GOLDEN_GEN
+    if case in ("run", "run_cycles"):
+        main(_GOLDEN_GEN)
+        return replay + (["--trace-cycles"] if case == "run_cycles" else [])
+    if case == "run_grid_padding_cycles":
+        trace = _write_trace("grid.trace", fuzz_records(
+            SdrLayout(16, 25, 8), 1500, seed=5, max_padding=2))
+        return ["run", "--layout", "16,25,8", "--entries", "64", "--grid", "5,5",
+                "--trace-cycles", "--trace", trace]
+    if case == "run_khot":
+        trace = _write_trace("khot.trace", fuzz_records(
+            SdrLayout(8, 4, 4), 1500, seed=6, khot_features=True))
+        return ["run", "--layout", "8,4,4", "--entries", "16", "--khot",
+                "--trace", trace]
+    if case == "run_input_errors":
+        with open("bad.trace", "w") as fh:
+            fh.write(
+                '{"op":"STORE","feature":0,"location":0,"class":0}\n'
+                '{"op":"INFER","feature":0,"location":0,"class":1}\n'
+                '{"op":"STORE","feature":99,"location":0,"class":0}\n'
+                '{"op":"PREDICT_LOCATION","feature":0,"padding":1}\n'
+                '{"op":"STORE","feature_bits":"101","location":0,"class":0}\n'
+                '{"op":"INFER","feature":0,"location":0}\n'
+                '{"op":"PREDICT_FEATURE","location":0}\n')
+        return ["run", "--layout", "8,9,4", "--entries", "4", "--trace", "bad.trace"]
+    diff = ["diff", "--ops", "10000", "--seed", "99"]
+    if case == "diff_444":
+        return diff + ["--layout", "4,4,4", "--entries", "16"]
+    if case == "diff_khot":
+        return diff + ["--layout", "8,4,4", "--entries", "16", "--khot"]
+    if case == "diff_grid":
+        return diff + ["--layout", "16,25,8", "--entries", "64", "--grid", "5,5",
+                       "--max-padding", "2"]
+    raise AssertionError(case)
+
+
+#: SHA-256 of stdout and the exit code per case. Only a deliberate change of
+#: CLI output may record new digests.
+GOLDEN = {
+    "gen": ("db1b4fc14d26c737fccf4f871bc86af1d7e298abf20a71066b489f68b5486824", 0),
+    "run": ("b3f2d092b6fa05e2f2923175ad5487db98eb137720827d39b7a4a4780ac775b6", 0),
+    "run_cycles": ("2a9b649eae01934a21260f08ef3c4055e3c8ae2b6742591a0ff9f23311b27ba9", 0),
+    "run_grid_padding_cycles":
+        ("b46a2ddc7ff8de8568be38b39672f99c49b9f188d22697d996a56c28b8a4a478", 0),
+    "run_khot": ("6b555423201261a02263195a7e47dbf6f777cd1ffbab78d66423afbd314083e9", 0),
+    "run_input_errors":
+        ("f4c6380f427914d2b059e6081aa6c2b7fc7ac061495e8d66c9425fc39220a15a", 1),
+    "diff_444": ("69a48eb5d7a4c2b3e38043aab39c65a440465193d6e4007b1b58a0cd8be5c7ad", 0),
+    "diff_khot": ("69a48eb5d7a4c2b3e38043aab39c65a440465193d6e4007b1b58a0cd8be5c7ad", 0),
+    "diff_grid": ("69a48eb5d7a4c2b3e38043aab39c65a440465193d6e4007b1b58a0cd8be5c7ad", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_cli_output_matches_golden_digest(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = _golden_args(case)
+    capsys.readouterr()  # drop output of input generation
+    code = main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (digest, code) == GOLDEN[case]

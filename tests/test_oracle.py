@@ -2,7 +2,6 @@
 
 from nertcam import Bits, CommandKind, MacroCommand, Oracle, Outcome, SdrLayout
 
-from conftest import one_hot_sdr
 
 L333 = SdrLayout(3, 3, 3)
 
@@ -12,7 +11,7 @@ def oracle333(capacity=4, grid=None):
 
 
 def cmd(layout, kind, feature=None, location=None, class_=None, padding=0):
-    return MacroCommand(kind, one_hot_sdr(layout, feature, location, class_),
+    return MacroCommand(kind, layout.triplet(feature, location, class_),
                         padding=padding)
 
 

@@ -6,7 +6,6 @@ from nertcam import (Bits, CommandKind, InputError, MacroCommand, PaddingMode,
                      SdrLayout, build_dc, equality_match, padding_window,
                      validate_command)
 
-from conftest import one_hot_sdr
 
 
 def cmd(kind, text, padding=0):
@@ -123,7 +122,7 @@ def test_dc_never_pads_feature_or_class():
     layout = SdrLayout(4, 7, 4)
     for p in range(4):
         mask = build_dc(MacroCommand(CommandKind.PREDICT_FEATURE,
-                                     one_hot_sdr(layout, location=3), padding=p),
+                                     layout.triplet(location=3), padding=p),
                         layout)
         f, _, c = layout.split(mask)
         assert str(f) == "1111"

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from nertcam import (Bits, LookupScope, MatchMode, MemoryArray, SdrLayout,
-                     concat, equality_match, membership_match)
+from nertcam import (Bits, LayoutError, LookupScope, MatchMode, MemoryArray,
+                     SdrLayout, concat, equality_match, membership_match)
 
 
 def B(text):
@@ -85,7 +85,7 @@ def test_lookup_never_matches_empty_rows():
     mem = mem333("001|010|100")
     mem.micro_lookup(B("001|010|100"), B("111111111"), LookupScope.ALL)
     # all-ones mask matches every stored row, but only the occupied one
-    assert mem.read_outputs().mem_out == [mem.entries[0]]
+    assert mem.matched_rows() == [mem.entries[0]]
 
 
 def test_valid_only_is_all_intersect_prior_valid():
@@ -135,7 +135,8 @@ def test_validate_unions_and_closes_over_classes():
     classes = mem.micro_validate()
     assert str(classes) == "110"
     assert [e.valid for e in mem.entries] == [True, True, False, True]
-    assert str(mem.read_outputs().infer_class_out) == "110"
+    # the closed-over valid set is what the internal lookup matched
+    assert mem.matched_rows() == [mem.entries[i] for i in (0, 1, 3)]
 
 
 def test_validate_closure_oracle():
@@ -246,27 +247,38 @@ def test_occupancy_accounting_over_random_ops():
     layout = SdrLayout(3, 3, 3)
     mem = MemoryArray(layout, 4)
     live = 0
+
+    def lookup(query, dc, scope=LookupScope.VALID_ONLY):
+        # the valid bits are the match result: nothing else records it
+        match, hit = mem.micro_lookup(query, dc, scope)
+        assert list(match) == [e.valid for e in mem.entries]
+        assert hit is any(match)
+        return match
+
     for _ in range(300):
         op = rng.choice(("store", "delete", "clear", "lookup", "reset"))
         t = concat(Bits.one_hot(3, rng.randrange(3)),
                    Bits.one_hot(3, rng.randrange(3)),
                    Bits.one_hot(3, rng.randrange(3)))
         if op == "store":
-            mem.micro_lookup(t, Bits.zeros(9), LookupScope.ALL)
+            lookup(t, Bits.zeros(9), LookupScope.ALL)
             if not mem.valid_entry:
                 if mem.micro_store(t) is not None:
                     live += 1
             mem.micro_reset()
         elif op == "delete":
-            mem.micro_lookup(t, Bits.zeros(9), LookupScope.ALL)
+            match = lookup(t, Bits.zeros(9), LookupScope.ALL)
             if mem.valid_entry:
+                occupied = [not e.empty for e in mem.entries]
                 live -= mem.micro_delete()
+                # exactly the matched rows were released
+                assert [o and e.empty for o, e in zip(occupied, mem.entries)] == list(match)
             mem.micro_reset()
         elif op == "clear":
             mem.micro_clear()
             live = 0
         elif op == "lookup":
-            mem.micro_lookup(t, Bits(rng.getrandbits(9), 9))
+            lookup(t, Bits(rng.getrandbits(9), 9))
         else:
             mem.micro_reset()
         assert mem.occupancy == live == sum(1 for e in mem.entries if not e.empty)
@@ -278,25 +290,24 @@ def test_occupancy_accounting_over_random_ops():
 def test_read_outputs_after_lookup():
     mem = mem333("001|010|100", "001|100|010")
     mem.micro_lookup(B("001|010|000"), B(INFER_DC))
-    out = mem.read_outputs()
-    assert [str(e.sdr) for e in out.mem_out] == ["001010100"]
-    assert out.valid_entry
-    assert not out.full
+    assert [str(e.sdr) for e in mem.matched_rows()] == ["001010100"]
+    assert mem.valid_entry
+    assert not mem.full
 
 
 def test_read_outputs_after_clear():
     mem = mem333("001|010|100")
     mem.micro_clear()
-    out = mem.read_outputs()
-    assert out.mem_out == []
-    assert not out.full
+    assert mem.matched_rows() == []
+    assert not mem.valid_entry
+    assert not mem.full
 
 
 def test_full_after_filling_every_row():
     mem = MemoryArray(SdrLayout(3, 3, 3), 3)
     for t in ("001|010|100", "001|100|010", "010|001|001"):
         mem.micro_store(B(t))
-    assert mem.read_outputs().full
+    assert mem.full
 
 
 def test_image_round_trip_is_bit_exact():
@@ -329,3 +340,9 @@ def test_image_parse_errors():
         MemoryArray.from_image("1 001|010|100 1 0\n", layout)
     with pytest.raises(ValueError, match="no rows"):
         MemoryArray.from_image("", layout)
+    with pytest.raises(ValueError, match="image line 2: index 'x' is not an integer"):
+        MemoryArray.from_image("0 001|010|100 1 0\nx 001|010|100 1 0\n", layout)
+    with pytest.raises(LayoutError, match="image line 1: invalid bit characters"):
+        MemoryArray.from_image("0 001|0x0|100 1 0\n", layout)
+    with pytest.raises(LayoutError, match="image line 2: expected 9 bits, got 8"):
+        MemoryArray.from_image("0 001|010|100 1 0\n1 001|010|10 1 0\n", layout)

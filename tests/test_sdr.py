@@ -115,10 +115,27 @@ def test_split_concat_identity_across_widths():
                 assert str(f) + str(l) + str(c) == str(sdr)
 
 
-def test_join_checks_section_widths(layout333):
-    with pytest.raises(LayoutError):
-        layout333.join(B("0011"), B("010"), B("100"))
-    assert layout333.join(B("001"), B("010"), B("100")) == B("001010100")
+def test_triplet_checks_section_widths(layout333):
+    with pytest.raises(LayoutError, match="feature section width 4"):
+        layout333.triplet(B("0011"), 1, 0)
+    assert layout333.triplet(B("001"), 1, 0) == B("001010100")
+
+
+def test_triplet_from_hot_indices(layout333):
+    assert layout333.triplet(2, 1, 0) == B("001|010|100")
+    assert layout333.triplet(class_=2) == B("000|000|001")
+    assert layout333.triplet() == Bits.zeros(9)
+    assert SdrLayout(4, 2, 3).triplet(B("1011"), 0) == B("1011|10|000")
+
+
+@pytest.mark.parametrize("args,message", [
+    ((3, 0, 0), "feature index 3 outside width 3"),
+    ((0, 3, 0), "location index 3 outside width 3"),
+    ((0, 0, -1), "class index -1 outside width 3"),
+])
+def test_triplet_index_range(layout333, args, message):
+    with pytest.raises(LayoutError, match=message):
+        layout333.triplet(*args)
 
 
 def test_pretty(layout333):

@@ -9,7 +9,6 @@ from nertcam import (Bits, BusyError, CommandKind, ConfigError, InputError,
                      MacroCommand, NertcamConfig, Outcome, PaddingMode,
                      SdrLayout, System)
 
-from conftest import one_hot_sdr
 
 L333 = SdrLayout(3, 3, 3)
 
@@ -214,7 +213,8 @@ def test_infer_response_carries_classes():
     store(system, "001|010|010")
     resp = system.run(cmd(CommandKind.INFER, "001|010|000"))
     assert str(resp.classes) == "110"
-    assert resp.prediction.is_empty
+    assert str(resp.prediction.classes) == "110"  # the one class output
+    assert resp.prediction.features.is_zero and resp.prediction.locations.is_zero
 
 
 def test_predict_response_carries_prediction():
@@ -225,7 +225,7 @@ def test_predict_response_carries_prediction():
     assert str(resp.prediction.features) == "101"
     assert str(resp.prediction.classes) == "110"
     assert resp.prediction.locations.is_zero
-    assert resp.classes.is_zero
+    assert resp.classes == resp.prediction.classes
 
 
 def test_predict_location_output():
@@ -259,7 +259,7 @@ def test_identification_narrows_to_one_class():
     for c, mapping in objects.items():
         for loc, feat in mapping.items():
             r = system.run(MacroCommand(
-                CommandKind.STORE, one_hot_sdr(layout, feat, loc, c)))
+                CommandKind.STORE, layout.triplet(feat, loc, c)))
             assert r.outcome is Outcome.SUCCESS
 
     rng = random.Random(17)
@@ -271,7 +271,7 @@ def test_identification_narrows_to_one_class():
         for loc in locations:
             resp = system.run(MacroCommand(
                 CommandKind.INFER,
-                one_hot_sdr(layout, objects[target][loc], loc)))
+                layout.triplet(objects[target][loc], loc)))
             assert resp.outcome is Outcome.SUCCESS
             current = set(resp.classes.hot_positions)
             assert current <= previous  # monotone narrowing

@@ -105,3 +105,12 @@ def test_config_errors():
         config_from_json('{"grid": [25]}')
     with pytest.raises(ParseError, match="JSON"):
         config_from_json("not json")
+    # types are checked, never coerced
+    with pytest.raises(ParseError, match="khot_features"):
+        config_from_json('{"khot_features": "false"}')
+    with pytest.raises(ParseError, match="feature_bits"):
+        config_from_json('{"feature_bits": 4.9}')
+    with pytest.raises(ParseError, match="entries"):
+        config_from_json('{"entries": true}')
+    with pytest.raises(ParseError, match="grid"):
+        config_from_json('{"grid": [true, 25]}')
