@@ -262,16 +262,20 @@ def _compare(resp: Response, abst: AbstractResponse) -> list[str]:
 
 
 def _valid_bits_mirror_oracle(system: System, oracle: Oracle) -> bool:
-    """At macro-op boundaries the device's per-row valid bits must be exactly
-    the indicator of that row's class being in the oracle's valid set."""
-    layout = system.layout
-    for e in system.memory.entries:
-        if e.empty:
-            continue
-        klass = layout.split(e.sdr)[2].hot_positions[0]
-        if e.valid != (klass in oracle.valid):
-            return False
-    return True
+    """At macro-op boundaries the device's valid bit of each non-empty row
+    must be exactly the indicator of that row's class being in the oracle's
+    valid set."""
+    mem = system.memory
+    oracle_classes = Bits.from_positions(system.layout.class_bits, oracle.valid).value
+    expected = 0
+    occupied = mem.occupied
+    while occupied:
+        row = occupied & -occupied
+        # the class section is the lowest and one-hot in a non-empty row
+        if mem.rows[row.bit_length() - 1] & oracle_classes:
+            expected |= row
+        occupied ^= row
+    return mem.valid & mem.occupied == expected
 
 
 def diff_records(system: System, oracle: Oracle,
@@ -353,9 +357,9 @@ def run_bench(layout: SdrLayout, entries_list: list[int], iterations: int,
               seed: int = 0) -> list[dict]:
     """Per-op mean wall time for each storage size.
 
-    The lookup row times the raw array scan (a full-width exact search that
-    touches every row); store/infer/predict rows time whole commands through
-    the device, cycles included.
+    The lookup row times the raw array search (a full-width exact match over
+    every row); store/infer/predict rows time whole commands through the
+    device, cycles included.
     """
     results = []
     for n in entries_list:

@@ -9,11 +9,10 @@ triple means the prediction failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .preprocess import CommandKind
-from .rtcam import Entry
-from .sdr import Bits, SdrLayout
+from .rtcam import MemoryArray
+from .sdr import Bits
 
 
 @dataclass(frozen=True)
@@ -28,23 +27,22 @@ class PredictionOutput:
         return self.features.is_zero and self.locations.is_zero and self.classes.is_zero
 
 
-def condense(matched: Sequence[Entry] | None, kind: CommandKind,
-             layout: SdrLayout) -> PredictionOutput:
-    """OR-reduce the matched rows' sections, gated by command kind.
+def condense(matched: int | None, kind: CommandKind,
+             memory: MemoryArray) -> PredictionOutput:
+    """OR-reduce the sections of the rows in the matched row bitmap, gated
+    by command kind.
 
     Non-PREDICT kinds, whose matched is None, get an all-zero triple.
     """
-    features = locations = classes = 0
+    layout = memory.layout
     if kind is CommandKind.PREDICT_FEATURE or kind is CommandKind.PREDICT_LOCATION:
-        for e in matched:
-            f, l, c = layout.split(e.sdr)
-            features |= f.value
-            locations |= l.value
-            classes |= c.value
+        features, locations, classes = layout.split(
+            Bits(memory.or_rows(matched), layout.total))
         if kind is CommandKind.PREDICT_FEATURE:
-            locations = 0
+            locations = Bits.zeros(layout.location_bits)
         else:
-            features = 0
-    return PredictionOutput(Bits(features, layout.feature_bits),
-                            Bits(locations, layout.location_bits),
-                            Bits(classes, layout.class_bits))
+            features = Bits.zeros(layout.feature_bits)
+        return PredictionOutput(features, locations, classes)
+    return PredictionOutput(Bits.zeros(layout.feature_bits),
+                            Bits.zeros(layout.location_bits),
+                            Bits.zeros(layout.class_bits))

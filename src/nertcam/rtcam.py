@@ -4,9 +4,16 @@ masked queries.
 Each row stores a full feature|location|class triplet plus a valid bit (is
 the row still a candidate in the current identification?) and an empty bit
 (is the row unused?). Queries carry the don't-care mask; stored rows are
-strictly binary. A lookup evaluates every row in parallel (here: a loop
-whose result equals the parallel definition) and overwrites the valid bits
-with the match result. An empty row never matches anything.
+strictly binary. A lookup compares every row at once and overwrites the
+valid bits with the match result. An empty row never matches anything.
+
+The array is held bit-sliced, as the match lines of CAM hardware see it:
+besides each row's triplet value it keeps one row bitmap per bit position
+(bit i set when row i holds a 1 there), and the valid and occupied bits as
+row bitmaps. A lookup ANDs together the columns of the query's cared
+positions, so every micro-op costs a number of big-integer operations that
+grows with the layout width, not with the row count. Each such operation
+still touches one bit per row.
 
 Six single-cycle micro-ops drive the array: clear, reset, store, delete,
 lookup, validate. Sequencing between them belongs to the controller, not
@@ -15,7 +22,6 @@ to this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .sdr import Bits, LayoutError, SdrLayout
@@ -32,22 +38,22 @@ class MatchMode(Enum):
     MEMBERSHIP = "membership"
 
 
-@dataclass
-class Entry:
-    """One memory row: a full-width triplet plus valid and empty bits.
-
-    A cleared or deleted row keeps whatever bits it held (they are dead; the
-    empty bit suppresses every match). Cleared rows report valid=1 so a
-    reset leaves the whole array uniform; this is unobservable externally.
-    """
-
-    sdr: Bits
-    valid: bool = True
-    empty: bool = True
+def _low_bits(value: int):
+    """Yield (index, single-bit mask) for each set bit, lowest first."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1, low
+        value ^= low
 
 
 class MemoryArray:
-    """Fixed-capacity array of Entry rows with the six micro-ops.
+    """Fixed-capacity bit-sliced array with the six micro-ops.
+
+    rows[i] is row i's triplet value; valid and occupied are row bitmaps
+    (bit i for row i). A cleared or deleted row keeps whatever bits it held
+    (they are dead; the occupied bit gates every match). Cleared rows report
+    valid=1 so a reset leaves the whole array uniform; this is unobservable
+    externally.
 
     Single-writer: the controller serializes all micro-ops. Construction
     leaves the array cleared (every row empty, valid, zeroed).
@@ -58,65 +64,88 @@ class MemoryArray:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.layout = layout
         self.capacity = capacity
-        self.entries: list[Entry] = [Entry(Bits.zeros(layout.total)) for _ in range(capacity)]
-        self._occupied = 0
-        self._valid_entry = False
+        self._all_rows = (1 << capacity) - 1
+        self.micro_clear()
 
     @property
     def full(self) -> bool:
-        return self._occupied == self.capacity
+        return self.occupied == self._all_rows
 
     @property
     def occupancy(self) -> int:
         """Number of non-empty rows. Instrumentation, not an architectural signal."""
-        return self._occupied
+        return self.occupied.bit_count()
 
     # --- micro-ops -------------------------------------------------------
 
     def micro_clear(self) -> None:
         """Drop all stored information: every row empty, valid, zeroed."""
-        zero = Bits.zeros(self.layout.total)
-        for e in self.entries:
-            e.sdr = zero
-            e.valid = True
-            e.empty = True
-        self._occupied = 0
+        self.rows = [0] * self.capacity
+        # _cols[k] has bit i set iff bit k of rows[i] is set
+        self._cols = [0] * self.layout.total
+        self.valid = self._all_rows
+        self.occupied = 0
         self._valid_entry = False
 
     def micro_reset(self) -> None:
         """Set every valid bit back to 1; stored triplets are untouched."""
-        for e in self.entries:
-            e.valid = True
+        self.valid = self._all_rows
 
     def micro_lookup(self, query: Bits, dc: Bits,
                      scope: LookupScope = LookupScope.VALID_ONLY,
-                     mode: MatchMode = MatchMode.EQUALITY) -> tuple[tuple[bool, ...], bool]:
+                     mode: MatchMode = MatchMode.EQUALITY) -> tuple[int, bool]:
         """Masked compare of every row; valid bits are overwritten with the result.
 
         A row matches iff it is non-empty, in scope (ALL ignores the prior
         valid bit), and its triplet satisfies the mode's predicate against
-        the query under the mask. Returns (per-row match vector, OR-reduce).
+        the query under the mask. Returns (match row bitmap, OR-reduce).
         """
         self.layout.check_width(query)
         self.layout.check_width(dc)
         q = query.value
         care = ((1 << self.layout.total) - 1) & ~dc.value
-        scope_all = scope is LookupScope.ALL
-        eq = mode is MatchMode.EQUALITY
-        match: list[bool] = []
-        any_hit = False
-        for e in self.entries:
-            if e.empty or not (scope_all or e.valid):
-                hit = False
-            elif eq:
-                hit = ((e.sdr.value ^ q) & care) == 0
-            else:
-                hit = (e.sdr.value & q & care) != 0
-            e.valid = hit
-            match.append(hit)
-            any_hit |= hit
+        match = self.occupied
+        if scope is not LookupScope.ALL:
+            match &= self.valid
+        cols = self._cols
+        if mode is MatchMode.EQUALITY:
+            for k, _ in _low_bits(q & care):
+                match &= cols[k]
+                if not match:
+                    break
+            zeros = care & ~q
+            if match and zeros:
+                # both drops are exact; pick the one with fewer big-int ops
+                if match.bit_count() <= zeros.bit_count():
+                    match = self._drop_by_rows(match, zeros)
+                else:
+                    match = self._drop_by_columns(match, zeros)
+        else:
+            hit = 0
+            for k, _ in _low_bits(q & care):
+                hit |= cols[k]
+            match &= hit
+        any_hit = match != 0
+        self.valid = match
         self._valid_entry = any_hit
-        return tuple(match), any_hit
+        return match, any_hit
+
+    def _drop_by_rows(self, match: int, zeros: int) -> int:
+        """Clear each candidate row that holds a 1 where zeros is set."""
+        rows = self.rows
+        for i, low in _low_bits(match):
+            if rows[i] & zeros:
+                match ^= low
+        return match
+
+    def _drop_by_columns(self, match: int, zeros: int) -> int:
+        """AND out the column of each position set in zeros."""
+        cols = self._cols
+        for k, _ in _low_bits(zeros):
+            match &= ~cols[k]
+            if not match:
+                break
+        return match
 
     def micro_validate(self) -> Bits:
         """Close the valid set over classes and emit the k-hot class vector.
@@ -127,13 +156,13 @@ class MemoryArray:
         class section, the mask covers everything except the union's hot
         positions.
         """
+        live = self.valid & self.occupied
         union = 0
-        class_mask = (1 << self.layout.class_bits) - 1
-        for e in self.entries:
-            if e.valid and not e.empty:
-                union |= e.sdr.value & class_mask
+        # the class section is the lowest, so column k is class bit k
+        for k in range(self.layout.class_bits):
+            if self._cols[k] & live:
+                union |= 1 << k
         total = self.layout.total
-        # the class section is the lowest, so the union is already in place
         query = Bits(union, total)
         dc = Bits(((1 << total) - 1) ^ union, total)
         self.micro_lookup(query, dc, LookupScope.ALL, MatchMode.MEMBERSHIP)
@@ -147,14 +176,18 @@ class MemoryArray:
         no exact duplicate first.
         """
         self.layout.check_width(triplet)
-        for i, e in enumerate(self.entries):
-            if e.empty:
-                e.sdr = triplet
-                e.empty = False
-                e.valid = True
-                self._occupied += 1
-                return i
-        return None
+        free = self._all_rows ^ self.occupied
+        if not free:
+            return None
+        row = free & -free
+        i = row.bit_length() - 1
+        cols = self._cols
+        for k, _ in _low_bits(self.rows[i] ^ triplet.value):
+            cols[k] ^= row
+        self.rows[i] = triplet.value
+        self.occupied |= row
+        self.valid |= row
+        return i
 
     def micro_delete(self) -> int:
         """Mark every valid, non-empty row as empty.
@@ -163,65 +196,112 @@ class MemoryArray:
         releases what it matched. Contents stay in place but are dead.
         Returns the number of rows released.
         """
-        released = 0
-        for e in self.entries:
-            if e.valid and not e.empty:
-                e.empty = True
-                released += 1
-        self._occupied -= released
-        return released
+        released = self.valid & self.occupied
+        self.occupied ^= released
+        return released.bit_count()
 
     # --- reads and valid-bit bookkeeping ---------------------------------
 
-    def matched_rows(self) -> list[Entry]:
-        """Valid, non-empty rows: after a lookup, exactly the rows it matched."""
-        return [e for e in self.entries if e.valid and not e.empty]
+    def matched_rows(self) -> int:
+        """Valid, non-empty rows as a bitmap: after a lookup, the rows it matched."""
+        return self.valid & self.occupied
+
+    def or_rows(self, rows: int) -> int:
+        """OR of the triplet values of the rows set in a row bitmap."""
+        value = 0
+        for k, col in enumerate(self._cols):
+            if col & rows:
+                value |= 1 << k
+        return value
 
     @property
     def valid_entry(self) -> bool:
         return self._valid_entry
 
-    def snapshot_valid(self) -> list[bool]:
-        return [e.valid for e in self.entries]
+    def snapshot_valid(self) -> int:
+        return self.valid
 
-    def restore_valid(self, snapshot: list[bool]) -> None:
-        for e, v in zip(self.entries, snapshot):
-            e.valid = v
+    def restore_valid(self, snapshot: int) -> None:
+        self.valid = snapshot
 
     # --- memory-image text format ----------------------------------------
 
     def to_image(self) -> str:
         """One row per line: `index feature|location|class V E`. Bit-exact."""
+        total = self.layout.total
+        # row i's valid and occupied bits, as characters indexed by i
+        valid = format(self.valid, f"0{self.capacity}b")[::-1]
+        occupied = format(self.occupied, f"0{self.capacity}b")[::-1]
         lines = []
-        for i, e in enumerate(self.entries):
-            lines.append(f"{i} {self.layout.pretty(e.sdr)} {int(e.valid)} {int(e.empty)}")
+        for i, row in enumerate(self.rows):
+            empty = "0" if occupied[i] == "1" else "1"
+            lines.append(f"{i} {self.layout.pretty(Bits(row, total))} {valid[i]} {empty}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_image(cls, text: str, layout: SdrLayout) -> MemoryArray:
-        """Rebuild an array from its image; capacity = number of lines."""
-        rows: list[Entry] = []
+        """Rebuild an array from its image; capacity = number of lines.
+
+        Non-empty rows must satisfy the device invariants: a nonzero feature
+        section, one-hot location and class sections, no duplicate triplet,
+        and one valid bit per class. Empty rows are dead and not checked.
+        """
+        rows: list[int] = []
+        valid_text: list[str] = []
+        occupied_text: list[str] = []
+        first_line: dict[int, int] = {}              # triplet -> image line
+        class_valid: dict[int, tuple[str, int]] = {}  # class -> (V, image line)
+        lc = layout.location_bits + layout.class_bits
+        location_mask = (1 << layout.location_bits) - 1
+        class_mask = (1 << layout.class_bits) - 1
         for n, line in enumerate(text.splitlines()):
             if not line.strip():
                 continue
             parts = line.split()
+            where = f"image line {n + 1}"
             if len(parts) != 4:
-                raise ValueError(f"image line {n + 1}: expected 4 fields, got {len(parts)}")
+                raise ValueError(f"{where}: expected 4 fields, got {len(parts)}")
             index, bits_text, v, e = parts
             if not (index.isascii() and index.isdigit()):
-                raise ValueError(f"image line {n + 1}: index {index!r} is not an integer")
+                raise ValueError(f"{where}: index {index!r} is not an integer")
             if int(index) != len(rows):
-                raise ValueError(f"image line {n + 1}: index {index} out of order")
+                raise ValueError(f"{where}: index {index} out of order")
             if v not in ("0", "1") or e not in ("0", "1"):
-                raise ValueError(f"image line {n + 1}: V/E must be 0 or 1")
+                raise ValueError(f"{where}: V/E must be 0 or 1")
             try:
-                sdr = layout.parse(bits_text)
+                value = layout.parse(bits_text).value
             except LayoutError as exc:
-                raise LayoutError(f"image line {n + 1}: {exc}") from exc
-            rows.append(Entry(sdr, valid=v == "1", empty=e == "1"))
+                raise LayoutError(f"{where}: {exc}") from exc
+            if e == "0":
+                location = (value >> layout.class_bits) & location_mask
+                class_ = value & class_mask
+                if not value >> lc:
+                    raise ValueError(f"{where}: feature section is zero")
+                if location & (location - 1) or not location:
+                    raise ValueError(f"{where}: location section is not one-hot")
+                if class_ & (class_ - 1) or not class_:
+                    raise ValueError(f"{where}: class section is not one-hot")
+                first = first_line.setdefault(value, n + 1)
+                if first != n + 1:
+                    raise ValueError(f"{where}: triplet duplicates image line {first}")
+                class_v, class_line = class_valid.setdefault(class_, (v, n + 1))
+                if class_v != v:
+                    raise ValueError(f"{where}: valid bit {v} differs from image line "
+                                     f"{class_line} of the same class")
+            rows.append(value)
+            valid_text.append(v)
+            occupied_text.append("1" if e == "0" else "0")
         if not rows:
             raise ValueError("memory image has no rows")
         mem = cls(layout, len(rows))
-        mem.entries = rows
-        mem._occupied = sum(1 for r in rows if not r.empty)
+        mem.rows = rows
+        mem.valid = int("".join(reversed(valid_text)), 2)
+        mem.occupied = int("".join(reversed(occupied_text)), 2)
+        # transpose: one little-endian byte string per bit position
+        columns = [bytearray((len(rows) + 7) // 8) for _ in range(layout.total)]
+        for i, value in enumerate(rows):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for k, _ in _low_bits(value):
+                columns[k][byte] |= bit
+        mem._cols = [int.from_bytes(column, "little") for column in columns]
         return mem

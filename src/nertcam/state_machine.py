@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .preprocess import CommandKind
-from .rtcam import Entry, LookupScope, MatchMode, MemoryArray
+from .rtcam import LookupScope, MatchMode, MemoryArray
 from .sdr import Bits
 
 
@@ -88,8 +88,8 @@ class Completion:
 
     accept() fills in the command and each step counts a cycle. The final
     transition sets outcome, plus classes (an INFER's validated k-hot
-    classes, on SUCCESS or CONTEXT_SWITCH) or matched (the rows a PREDICT's
-    lookup hit). Fields a command does not produce stay None.
+    classes, on SUCCESS or CONTEXT_SWITCH) or matched (the row bitmap a
+    PREDICT's lookup hit). Fields a command does not produce stay None.
     """
 
     kind: CommandKind
@@ -99,7 +99,7 @@ class Completion:
     store_full: bool = False
     outcome: Outcome | None = None
     classes: Bits | None = None
-    matched: list[Entry] | None = None
+    matched: int | None = None
 
 
 class Controller:
@@ -223,7 +223,7 @@ class Controller:
         return "reset"
 
     def _finish(self, p: Completion, outcome: Outcome,
-                classes: Bits | None = None, matched: list[Entry] | None = None) -> None:
+                classes: Bits | None = None, matched: int | None = None) -> None:
         p.outcome = outcome
         p.classes = classes
         p.matched = matched

@@ -128,7 +128,7 @@ class System:
         if done is not None:
             status = StatusOut(done.outcome, done.outcome in ERROR_OUTCOMES,
                                self.memory.full)
-            prediction = condense(done.matched, done.kind, self.layout)
+            prediction = condense(done.matched, done.kind, self.memory)
             if done.classes is not None:
                 prediction = PredictionOutput(prediction.features, prediction.locations,
                                               done.classes)

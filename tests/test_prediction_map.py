@@ -4,19 +4,23 @@ import random
 
 import pytest
 
-from nertcam import Bits, CommandKind, Entry, SdrLayout, concat, condense
+from nertcam import Bits, CommandKind, MemoryArray, SdrLayout, concat, condense
 
 L333 = SdrLayout(3, 3, 3)
 
 
-def entry(text):
-    return Entry(Bits.parse(text), valid=True, empty=False)
+def memory(*texts):
+    """A memory holding the triplet texts in rows 0.., one spare row."""
+    mem = MemoryArray(L333, len(texts) + 1)
+    for t in texts:
+        mem.micro_store(Bits.parse(t))
+    return mem
 
 
 def test_predict_feature_unions_features_and_classes():
     # union oracle: features {001, 100} -> 101, classes {100, 010} -> 110
-    matched = [entry("001|010|100"), entry("100|010|010")]
-    out = condense(matched, CommandKind.PREDICT_FEATURE, L333)
+    mem = memory("001|010|100", "100|010|010", "010|001|001")
+    out = condense(0b011, CommandKind.PREDICT_FEATURE, mem)  # row 2 unmatched
     assert str(out.features) == "101"
     assert str(out.locations) == "000"
     assert str(out.classes) == "110"
@@ -24,13 +28,13 @@ def test_predict_feature_unions_features_and_classes():
 
 
 def test_predict_location_with_no_matches_is_all_zero():
-    out = condense([], CommandKind.PREDICT_LOCATION, L333)
+    out = condense(0, CommandKind.PREDICT_LOCATION, memory("001|010|100"))
     assert out.is_empty
 
 
 def test_predict_location_gates_features_low():
-    matched = [entry("001|010|100"), entry("001|100|010")]
-    out = condense(matched, CommandKind.PREDICT_LOCATION, L333)
+    mem = memory("001|010|100", "001|100|010")
+    out = condense(0b11, CommandKind.PREDICT_LOCATION, mem)
     assert str(out.features) == "000"
     assert str(out.locations) == "110"
     assert str(out.classes) == "110"
@@ -40,24 +44,28 @@ def test_predict_location_gates_features_low():
                                   CommandKind.DELETE, CommandKind.CLEAR,
                                   CommandKind.RESET])
 def test_non_predict_commands_emit_nothing(kind):
-    matched = [entry("001|010|100"), entry("100|010|010")]
-    assert condense(matched, kind, L333).is_empty
+    mem = memory("001|010|100", "100|010|010")
+    assert condense(0b11, kind, mem).is_empty
 
 
 def test_outputs_are_exact_unions_with_bounded_popcount():
     rng = random.Random(9)
     for _ in range(100):
-        matched = []
+        mem = MemoryArray(L333, 8)
+        matched = 0
         f_union = l_union = c_union = 0
-        for _ in range(rng.randrange(5)):
+        for _ in range(rng.randrange(8)):
             f, l, c = (rng.randrange(3) for _ in range(3))
             t = concat(Bits.one_hot(3, f), Bits.one_hot(3, l), Bits.one_hot(3, c))
-            matched.append(Entry(t, valid=True, empty=False))
+            row = mem.micro_store(t)
+            if rng.random() < 0.5:
+                continue  # stored but not matched: must not reach the output
+            matched |= 1 << row
             f_union |= Bits.one_hot(3, f).value
             l_union |= Bits.one_hot(3, l).value
             c_union |= Bits.one_hot(3, c).value
         for kind in (CommandKind.PREDICT_FEATURE, CommandKind.PREDICT_LOCATION):
-            out = condense(matched, kind, L333)
+            out = condense(matched, kind, mem)
             assert out.classes.value == c_union
             if kind is CommandKind.PREDICT_FEATURE:
                 assert out.features.value == f_union
@@ -68,13 +76,13 @@ def test_outputs_are_exact_unions_with_bounded_popcount():
             # gating: never both sections nonzero
             assert out.features.is_zero or out.locations.is_zero
             for section in (out.features, out.locations, out.classes):
-                assert section.popcount <= len(matched)
+                assert section.popcount <= matched.bit_count()
 
 
 def test_one_hot_class_output_iff_single_shared_class():
-    same = [entry("001|010|100"), entry("010|100|100")]
-    out = condense(same, CommandKind.PREDICT_FEATURE, L333)
+    same = memory("001|010|100", "010|100|100")
+    out = condense(0b11, CommandKind.PREDICT_FEATURE, same)
     assert out.classes.popcount == 1
-    mixed = [entry("001|010|100"), entry("010|100|010")]
-    out = condense(mixed, CommandKind.PREDICT_FEATURE, L333)
+    mixed = memory("001|010|100", "010|100|010")
+    out = condense(0b11, CommandKind.PREDICT_FEATURE, mixed)
     assert out.classes.popcount == 2

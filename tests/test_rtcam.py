@@ -12,6 +12,11 @@ def B(text):
     return Bits.parse(text)
 
 
+def rows_of(bitmap):
+    """Row indices set in a row bitmap, ascending."""
+    return [i for i in range(bitmap.bit_length()) if bitmap >> i & 1]
+
+
 def mem333(*triplets):
     """Array of 4 rows over the 3/3/3 layout, preloaded with triplet texts."""
     mem = MemoryArray(SdrLayout(3, 3, 3), 4)
@@ -29,7 +34,7 @@ INFER_DC = "000000111"
 def test_clear_marks_every_row_empty_and_valid():
     mem = mem333("001|010|100", "001|100|010")
     mem.micro_clear()
-    assert all(e.empty and e.valid for e in mem.entries)
+    assert (mem.valid, mem.occupied) == (0b1111, 0)
     assert not mem.full and mem.occupancy == 0
     _, hit = mem.micro_lookup(B("001|010|000"), B(INFER_DC))
     assert not hit
@@ -45,14 +50,13 @@ def test_clear_is_idempotent():
 
 def test_reset_restores_valid_bits_only():
     mem = mem333("001|010|100", "001|100|010", "010|001|001")
-    mem.entries[0].valid = False
-    mem.entries[2].valid = False
-    before = [e.sdr for e in mem.entries]
+    mem.valid = 0b1010  # rows 0 and 2 invalid
+    before = list(mem.rows)
     mem.micro_reset()
-    assert all(e.valid for e in mem.entries)
-    assert [e.sdr for e in mem.entries] == before  # triplets untouched
+    assert mem.valid == 0b1111
+    assert mem.rows == before  # triplets untouched
     mem.micro_reset()
-    assert all(e.valid for e in mem.entries)
+    assert mem.valid == 0b1111
 
 
 # --- lookup ----------------------------------------------------------------------
@@ -63,15 +67,15 @@ def test_lookup_narrows_to_matching_pair():
     mem = mem333("001|010|100", "001|100|010")
     match, hit = mem.micro_lookup(B("001|010|000"), B(INFER_DC),
                                   LookupScope.VALID_ONLY, MatchMode.EQUALITY)
-    assert match == (True, False, False, False)
+    assert match == 0b0001
     assert hit
-    assert [e.valid for e in mem.entries] == [True, False, False, False]
+    assert mem.valid == 0b0001
 
 
 def test_lookup_unstored_pair_finds_nothing():
     mem = mem333("001|010|100", "001|100|010")
     match, hit = mem.micro_lookup(B("100|001|000"), B(INFER_DC))
-    assert match == (False,) * 4
+    assert match == 0
     assert not hit
 
 
@@ -85,7 +89,7 @@ def test_lookup_never_matches_empty_rows():
     mem = mem333("001|010|100")
     mem.micro_lookup(B("001|010|100"), B("111111111"), LookupScope.ALL)
     # all-ones mask matches every stored row, but only the occupied one
-    assert mem.matched_rows() == [mem.entries[0]]
+    assert mem.matched_rows() == 0b0001
 
 
 def test_valid_only_is_all_intersect_prior_valid():
@@ -98,15 +102,13 @@ def test_valid_only_is_all_intersect_prior_valid():
         for t in rows:
             a.micro_store(B(t))
             b.micro_store(B(t))
-        valid = [rng.random() < 0.5 for _ in range(5)]
-        for m in (a, b):
-            for e, v in zip(m.entries, valid):
-                e.valid = v
+        valid = rng.getrandbits(5)
+        a.valid = b.valid = valid
         query = Bits(rng.getrandbits(9), 9)
         dc = Bits(rng.getrandbits(9), 9)
         narrow, _ = a.micro_lookup(query, dc, LookupScope.VALID_ONLY)
         wide, _ = b.micro_lookup(query, dc, LookupScope.ALL)
-        assert narrow == tuple(w and v for w, v in zip(wide, valid))
+        assert narrow == wide & valid
 
 
 def test_lookup_agrees_with_match_predicates():
@@ -125,18 +127,61 @@ def test_lookup_agrees_with_match_predicates():
                 assert hit_mb is membership_match(s, q, d)
 
 
+def test_lookup_matches_predicates_row_by_row(monkeypatch):
+    """Multi-row reference: on rows with arbitrary bits, the match bitmap is
+    the predicate applied row by row over the in-scope occupied rows."""
+    paths = {"_drop_by_rows": 0, "_drop_by_columns": 0}
+    for name in paths:
+        def spy(self, match, zeros, _name=name, _drop=getattr(MemoryArray, name)):
+            paths[_name] += 1
+            return _drop(self, match, zeros)
+        monkeypatch.setattr(MemoryArray, name, spy)
+
+    layout = SdrLayout(8, 8, 4)
+    width = layout.total
+    rng = random.Random(5)
+
+    def sparse(p):
+        return sum(1 << k for k in range(width) if rng.random() < p)
+
+    predicates = {MatchMode.EQUALITY: equality_match, MatchMode.MEMBERSHIP: membership_match}
+    for capacity in (1, 7, 64, 300):
+        for _ in range(40):
+            mem = MemoryArray(layout, capacity)
+            for _ in range(capacity):
+                mem.micro_store(Bits(rng.getrandbits(width), width))
+            mem.valid = rng.getrandbits(capacity)
+            mem.micro_delete()  # released rows keep their (dead) bits
+            valid = rng.getrandbits(capacity)
+            for scope in LookupScope:
+                for mode in MatchMode:
+                    query = Bits(sparse(rng.choice((0.1, 0.5, 0.9))), width)
+                    dc = Bits(sparse(rng.choice((0.1, 0.5, 0.9))), width)
+                    mem.valid = valid
+                    match, hit = mem.micro_lookup(query, dc, scope, mode)
+                    expected = 0
+                    for i, row in enumerate(mem.rows):
+                        in_scope = mem.occupied >> i & 1 and (
+                            scope is LookupScope.ALL or valid >> i & 1)
+                        if in_scope and predicates[mode](Bits(row, width), query, dc):
+                            expected |= 1 << i
+                    assert match == expected == mem.valid
+                    assert hit is (expected != 0)
+    # both exact ways of dropping survivors at cared 0-positions were taken
+    assert paths["_drop_by_rows"] > 0 and paths["_drop_by_columns"] > 0
+
+
 # --- validate ----------------------------------------------------------------------
 
 
 def test_validate_unions_and_closes_over_classes():
     mem = mem333("001|010|100", "010|100|010", "100|001|001", "001|100|100")
-    mem.entries[2].valid = False
-    mem.entries[3].valid = False  # class 100 elsewhere: must be re-marked
+    mem.valid = 0b0011  # row 3, class 100 elsewhere: must be re-marked
     classes = mem.micro_validate()
     assert str(classes) == "110"
-    assert [e.valid for e in mem.entries] == [True, True, False, True]
+    assert mem.valid == 0b1011
     # the closed-over valid set is what the internal lookup matched
-    assert mem.matched_rows() == [mem.entries[i] for i in (0, 1, 3)]
+    assert rows_of(mem.matched_rows()) == [0, 1, 3]
 
 
 def test_validate_closure_oracle():
@@ -152,19 +197,16 @@ def test_validate_closure_oracle():
                        Bits.one_hot(3, rng.randrange(3)))
             if mem.micro_store(t) is not None:
                 stored.append(t)
-        valid = [rng.random() < 0.5 for _ in range(6)]
-        for e, v in zip(mem.entries, valid):
-            e.valid = v
-        union = set()
-        for e, v in zip(mem.entries, valid):
-            if v and not e.empty:
-                union |= set(layout.split(e.sdr)[2].hot_positions)
+        mem.valid = rng.getrandbits(6)
+
+        def klass(i):
+            return layout.split(Bits(mem.rows[i], 9))[2].hot_positions[0]
+
+        union = {klass(i) for i in rows_of(mem.valid & mem.occupied)}
         classes = mem.micro_validate()
         assert set(classes.hot_positions) == union
-        for e in mem.entries:
-            if not e.empty:
-                klass = layout.split(e.sdr)[2].hot_positions[0]
-                assert e.valid is (klass in union)
+        for i in rows_of(mem.occupied):
+            assert bool(mem.valid >> i & 1) is (klass(i) in union)
 
 
 def test_validate_single_class_is_one_hot():
@@ -174,15 +216,15 @@ def test_validate_single_class_is_one_hot():
     assert classes.popcount == 1
     assert str(classes) == "100"
     # closure marked the other row of the same class valid too
-    assert [e.valid for e in mem.entries] == [True, True, False, False]
+    assert mem.valid == 0b0011
 
 
 def test_validate_with_no_valid_rows():
     mem = mem333("001|010|100")
-    mem.entries[0].valid = False
+    mem.valid = 0b1110
     classes = mem.micro_validate()
     assert classes.is_zero
-    assert not any(e.valid for e in mem.entries if not e.empty)
+    assert not mem.valid & mem.occupied
 
 
 # --- store / delete ---------------------------------------------------------------
@@ -216,7 +258,7 @@ def test_delete_clears_matched_rows():
     mem = mem333("001|010|100", "001|100|010")
     mem.micro_lookup(B("001|100|010"), Bits.zeros(9), LookupScope.ALL)
     assert mem.micro_delete() == 1
-    assert mem.entries[1].empty
+    assert not mem.occupied >> 1 & 1
     assert mem.occupancy == 1
     _, hit = mem.micro_lookup(B("001|100|010"), Bits.zeros(9), LookupScope.ALL)
     assert not hit  # delete-then-exact-lookup never matches
@@ -251,8 +293,8 @@ def test_occupancy_accounting_over_random_ops():
     def lookup(query, dc, scope=LookupScope.VALID_ONLY):
         # the valid bits are the match result: nothing else records it
         match, hit = mem.micro_lookup(query, dc, scope)
-        assert list(match) == [e.valid for e in mem.entries]
-        assert hit is any(match)
+        assert match == mem.valid
+        assert hit is (match != 0)
         return match
 
     for _ in range(300):
@@ -269,10 +311,10 @@ def test_occupancy_accounting_over_random_ops():
         elif op == "delete":
             match = lookup(t, Bits.zeros(9), LookupScope.ALL)
             if mem.valid_entry:
-                occupied = [not e.empty for e in mem.entries]
+                occupied = mem.occupied
                 live -= mem.micro_delete()
                 # exactly the matched rows were released
-                assert [o and e.empty for o, e in zip(occupied, mem.entries)] == list(match)
+                assert occupied & ~mem.occupied == match
             mem.micro_reset()
         elif op == "clear":
             mem.micro_clear()
@@ -281,7 +323,7 @@ def test_occupancy_accounting_over_random_ops():
             lookup(t, Bits(rng.getrandbits(9), 9))
         else:
             mem.micro_reset()
-        assert mem.occupancy == live == sum(1 for e in mem.entries if not e.empty)
+        assert mem.occupancy == live == len(rows_of(mem.occupied))
 
 
 # --- outputs and images --------------------------------------------------------------
@@ -290,7 +332,7 @@ def test_occupancy_accounting_over_random_ops():
 def test_read_outputs_after_lookup():
     mem = mem333("001|010|100", "001|100|010")
     mem.micro_lookup(B("001|010|000"), B(INFER_DC))
-    assert [str(e.sdr) for e in mem.matched_rows()] == ["001010100"]
+    assert [str(Bits(mem.rows[i], 9)) for i in rows_of(mem.matched_rows())] == ["001010100"]
     assert mem.valid_entry
     assert not mem.full
 
@@ -298,7 +340,7 @@ def test_read_outputs_after_lookup():
 def test_read_outputs_after_clear():
     mem = mem333("001|010|100")
     mem.micro_clear()
-    assert mem.matched_rows() == []
+    assert mem.matched_rows() == 0
     assert not mem.valid_entry
     assert not mem.full
 
@@ -312,7 +354,7 @@ def test_full_after_filling_every_row():
 
 def test_image_round_trip_is_bit_exact():
     mem = mem333("001|010|100", "001|100|010")
-    mem.entries[0].valid = False
+    mem.valid = 0b1110
     # a deleted row keeps its dead contents in the image
     mem.micro_lookup(B("001|100|010"), Bits.zeros(9), LookupScope.ALL)
     mem.micro_delete()
@@ -321,8 +363,9 @@ def test_image_round_trip_is_bit_exact():
     assert restored.to_image() == image
     assert restored.capacity == 4
     assert restored.occupancy == 1
-    assert [(str(e.sdr), e.valid, e.empty) for e in restored.entries] == \
-        [(str(e.sdr), e.valid, e.empty) for e in mem.entries]
+    assert (restored.rows, restored.valid, restored.occupied) == \
+        (mem.rows, mem.valid, mem.occupied)
+    assert restored._cols == mem._cols  # the transpose rebuilt every column
 
 
 def test_image_format_shape():
@@ -346,3 +389,26 @@ def test_image_parse_errors():
         MemoryArray.from_image("0 001|0x0|100 1 0\n", layout)
     with pytest.raises(LayoutError, match="image line 2: expected 9 bits, got 8"):
         MemoryArray.from_image("0 001|010|100 1 0\n1 001|010|10 1 0\n", layout)
+    # non-empty rows must keep the device invariants
+    with pytest.raises(ValueError, match="image line 1: location section is not one-hot"):
+        MemoryArray.from_image("0 001|011|100 1 0\n", layout)
+    with pytest.raises(ValueError, match="image line 2: class section is not one-hot"):
+        MemoryArray.from_image("0 001|010|100 1 0\n1 001|010|110 1 0\n", layout)
+    with pytest.raises(ValueError, match="image line 1: class section is not one-hot"):
+        MemoryArray.from_image("0 001|010|000 1 0\n", layout)
+    with pytest.raises(ValueError, match="image line 1: feature section is zero"):
+        MemoryArray.from_image("0 000|010|100 1 0\n", layout)
+    with pytest.raises(ValueError, match="image line 3: triplet duplicates image line 1"):
+        MemoryArray.from_image("0 001|010|100 1 0\n1 010|010|100 1 0\n"
+                               "2 001|010|100 1 0\n", layout)
+    with pytest.raises(ValueError, match="image line 2: valid bit 0 differs from "
+                                         "image line 1 of the same class"):
+        MemoryArray.from_image("0 001|010|100 1 0\n1 010|100|100 0 0\n", layout)
+
+
+def test_image_checks_only_non_empty_rows():
+    layout = SdrLayout(3, 3, 3)
+    # a k-hot feature is allowed; empty rows are dead and may hold anything
+    mem = MemoryArray.from_image("0 011|010|100 1 0\n1 010|100|010 0 0\n"
+                                 "2 011|010|100 0 1\n3 000|011|110 1 1\n", layout)
+    assert (mem.occupancy, mem.valid) == (2, 0b1001)

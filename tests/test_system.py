@@ -38,8 +38,9 @@ def test_full_scale_rows_are_165_bits():
     layout = SdrLayout(128, 25, 10)
     system = make_system(capacity=1024, layout=layout)
     assert layout.total == 163
-    row = system.memory.entries[0]
-    assert row.sdr.width + 2 == 165  # triplet plus valid and empty bits
+    _, bits, valid, empty = system.save_image().splitlines()[0].split()
+    # triplet plus valid and empty bits
+    assert len(bits.replace("|", "")) + len(valid) + len(empty) == 165
 
 
 def test_grid_dimensions_must_cover_location_bits():
