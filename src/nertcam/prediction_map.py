@@ -9,10 +9,11 @@ triple means the prediction failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .preprocess import CommandKind
 from .rtcam import MemoryArray
-from .sdr import Bits
+from .sdr import Bits, SdrLayout
 
 
 @dataclass(frozen=True)
@@ -27,22 +28,34 @@ class PredictionOutput:
         return self.features.is_zero and self.locations.is_zero and self.classes.is_zero
 
 
+@cache
+def zero_output(layout: SdrLayout) -> PredictionOutput:
+    """The all-zero triple of a layout, built once and shared."""
+    return PredictionOutput(Bits.zeros(layout.feature_bits),
+                            Bits.zeros(layout.location_bits),
+                            Bits.zeros(layout.class_bits))
+
+
 def condense(matched: int | None, kind: CommandKind,
              memory: MemoryArray) -> PredictionOutput:
     """OR-reduce the sections of the rows in the matched row bitmap, gated
     by command kind.
 
-    Non-PREDICT kinds, whose matched is None, get an all-zero triple.
+    Only the columns of the sections output are ORed. Non-PREDICT kinds,
+    whose matched is None, get the layout's shared all-zero triple.
     """
     layout = memory.layout
-    if kind is CommandKind.PREDICT_FEATURE or kind is CommandKind.PREDICT_LOCATION:
-        features, locations, classes = layout.split(
-            Bits(memory.or_rows(matched), layout.total))
-        if kind is CommandKind.PREDICT_FEATURE:
-            locations = Bits.zeros(layout.location_bits)
-        else:
-            features = Bits.zeros(layout.feature_bits)
-        return PredictionOutput(features, locations, classes)
-    return PredictionOutput(Bits.zeros(layout.feature_bits),
-                            Bits.zeros(layout.location_bits),
-                            Bits.zeros(layout.class_bits))
+    zero = zero_output(layout)
+    c = layout.class_bits
+    if kind is CommandKind.PREDICT_FEATURE:
+        lc = layout.location_bits + c
+        return PredictionOutput(Bits(memory.or_rows(matched, lc), layout.feature_bits),
+                                zero.locations,
+                                Bits(memory.or_rows(matched, 0, c), c))
+    if kind is CommandKind.PREDICT_LOCATION:
+        # the class section is the lowest, the location section next
+        value = memory.or_rows(matched, 0, layout.location_bits + c)
+        return PredictionOutput(zero.features,
+                                Bits(value >> c, layout.location_bits),
+                                Bits(value & ((1 << c) - 1), c))
+    return zero

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .sdr import Bits, LayoutError, SdrLayout, concat, is_one_hot
+from .sdr import Bits, LayoutError, SdrLayout
 
 
 class InputError(ValueError):
@@ -76,22 +76,22 @@ class PaddingMode:
 LINEAR_1D = PaddingMode.linear()
 
 
-def _require_one_hot(section: Bits, name: str) -> None:
-    if not is_one_hot(section):
-        raise InputError(f"{name} section must be one-hot, got {section}")
+def _require_one_hot(section: int, width: int, name: str) -> None:
+    if not (section and not section & (section - 1)):
+        raise InputError(f"{name} section must be one-hot, got {Bits(section, width)}")
 
 
-def _require_zero(section: Bits, name: str) -> None:
-    if not section.is_zero:
-        raise InputError(f"{name} section must be all zeros, got {section}")
+def _require_zero(section: int, width: int, name: str) -> None:
+    if section:
+        raise InputError(f"{name} section must be all zeros, got {Bits(section, width)}")
 
 
-def _require_feature(section: Bits, khot_features: bool) -> None:
+def _require_feature(section: int, width: int, khot_features: bool) -> None:
     if khot_features:
-        if section.is_zero:
+        if not section:
             raise InputError("feature section must be nonzero in k-hot mode")
     else:
-        _require_one_hot(section, "feature")
+        _require_one_hot(section, width, "feature")
 
 
 def validate_command(cmd: MacroCommand, layout: SdrLayout,
@@ -103,29 +103,59 @@ def validate_command(cmd: MacroCommand, layout: SdrLayout,
     exact equality); locations and classes stay strictly one-hot.
     """
     layout.check_width(cmd.sdr)
+    kind = cmd.kind
     if cmd.padding < 0:
         raise InputError(f"padding must be non-negative, got {cmd.padding}")
-    if cmd.padding and cmd.kind is not CommandKind.PREDICT_FEATURE:
-        raise InputError(f"padding is only accepted on PREDICT_FEATURE, not {cmd.kind.value}")
-    if cmd.kind in (CommandKind.CLEAR, CommandKind.RESET):
+    if cmd.padding and kind is not CommandKind.PREDICT_FEATURE:
+        raise InputError(f"padding is only accepted on PREDICT_FEATURE, not {kind.value}")
+    if kind is CommandKind.CLEAR or kind is CommandKind.RESET:
         return
-    feature, location, class_ = layout.split(cmd.sdr)
-    if cmd.kind in (CommandKind.STORE, CommandKind.DELETE):
-        _require_feature(feature, khot_features)
-        _require_one_hot(location, "location")
-        _require_one_hot(class_, "class")
-    elif cmd.kind is CommandKind.INFER:
-        _require_feature(feature, khot_features)
-        _require_one_hot(location, "location")
-        _require_zero(class_, "class")
-    elif cmd.kind is CommandKind.PREDICT_FEATURE:
-        _require_zero(feature, "feature")
-        _require_one_hot(location, "location")
-        _require_zero(class_, "class")
-    elif cmd.kind is CommandKind.PREDICT_LOCATION:
-        _require_feature(feature, khot_features)
-        _require_zero(location, "location")
-        _require_zero(class_, "class")
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    value = cmd.sdr.value
+    feature = value >> (l + c)
+    location = (value >> c) & ((1 << l) - 1)
+    class_ = value & ((1 << c) - 1)
+    if kind is CommandKind.STORE or kind is CommandKind.DELETE:
+        _require_feature(feature, f, khot_features)
+        _require_one_hot(location, l, "location")
+        _require_one_hot(class_, c, "class")
+    elif kind is CommandKind.INFER:
+        _require_feature(feature, f, khot_features)
+        _require_one_hot(location, l, "location")
+        _require_zero(class_, c, "class")
+    elif kind is CommandKind.PREDICT_FEATURE:
+        _require_zero(feature, f, "feature")
+        _require_one_hot(location, l, "location")
+        _require_zero(class_, c, "class")
+    elif kind is CommandKind.PREDICT_LOCATION:
+        _require_feature(feature, f, khot_features)
+        _require_zero(location, l, "location")
+        _require_zero(class_, c, "class")
+
+
+def _window(location: int, width: int, padding: int, mode: PaddingMode) -> int:
+    """padding_window on a location section's integer value; returns the mask's."""
+    if padding == 0:
+        return 0
+    if not location or location & (location - 1):
+        raise InputError(f"padding window needs a one-hot location, got {Bits(location, width)}")
+    if padding < 0:  # an empty window, as the clamped ranges below would give
+        return 0
+    i = width - location.bit_length()  # string position of the hot bit
+    if not mode.is_grid:
+        lo, hi = max(0, i - padding), min(width, i + padding + 1)
+        return ((1 << (hi - lo)) - 1) << (width - hi)
+    rows, cols = mode.rows, mode.cols
+    if rows * cols != width:
+        raise LayoutError(f"grid {rows}x{cols} does not cover {width} location bits")
+    r0, c0 = divmod(i, cols)
+    lo, hi = max(0, c0 - padding), min(cols, c0 + padding + 1)
+    # the window's columns within one row; row r sits (rows - 1 - r) rows up
+    strip = ((1 << (hi - lo)) - 1) << (cols - hi)
+    mask = 0
+    for r in range(max(0, r0 - padding), min(rows, r0 + padding + 1)):
+        mask |= strip << ((rows - 1 - r) * cols)
+    return mask
 
 
 def padding_window(location: Bits, padding: int, mode: PaddingMode = LINEAR_1D) -> Bits:
@@ -136,26 +166,7 @@ def padding_window(location: Bits, padding: int, mode: PaddingMode = LINEAR_1D) 
     within the given distance: string-position distance on a line, Chebyshev
     distance on a grid. Windows clamp at the edges, no wraparound.
     """
-    width = location.width
-    if padding == 0:
-        return Bits.zeros(width)
-    hot = location.hot_positions
-    if len(hot) != 1:
-        raise InputError(f"padding window needs a one-hot location, got {location}")
-    i = hot[0]
-    if mode.is_grid:
-        if mode.rows * mode.cols != width:
-            raise LayoutError(
-                f"grid {mode.rows}x{mode.cols} does not cover {width} location bits")
-        r0, c0 = divmod(i, mode.cols)
-        positions = [
-            r * mode.cols + c
-            for r in range(max(0, r0 - padding), min(mode.rows, r0 + padding + 1))
-            for c in range(max(0, c0 - padding), min(mode.cols, c0 + padding + 1))
-        ]
-    else:
-        positions = range(max(0, i - padding), min(width, i + padding + 1))
-    return Bits.from_positions(width, positions)
+    return Bits(_window(location.value, location.width, padding, mode), location.width)
 
 
 def build_dc(cmd: MacroCommand, layout: SdrLayout,
@@ -167,16 +178,18 @@ def build_dc(cmd: MacroCommand, layout: SdrLayout,
     ignores location and class. CLEAR/RESET never reach the memory, their
     mask is all-zero by convention.
     """
-    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    l, c = layout.location_bits, layout.class_bits
+    total = layout.total
     kind = cmd.kind
+    if kind is CommandKind.INFER or kind is CommandKind.PREDICT_FEATURE:
+        location = (cmd.sdr.value >> c) & ((1 << l) - 1)
+        mask = _window(location, l, cmd.padding, mode) << c | ((1 << c) - 1)
+        if kind is CommandKind.PREDICT_FEATURE:
+            mask |= (1 << total) - (1 << (l + c))  # the whole feature section
+        return Bits(mask, total)
+    if kind is CommandKind.PREDICT_LOCATION:
+        return Bits((1 << (l + c)) - 1, total)
     if kind in (CommandKind.CLEAR, CommandKind.RESET,
                 CommandKind.STORE, CommandKind.DELETE):
-        return Bits.zeros(layout.total)
-    if kind is CommandKind.INFER or kind is CommandKind.PREDICT_FEATURE:
-        _, location, _ = layout.split(cmd.sdr)
-        window = padding_window(location, cmd.padding, mode)
-        feature_mask = Bits.ones(f) if kind is CommandKind.PREDICT_FEATURE else Bits.zeros(f)
-        return concat(feature_mask, window, Bits.ones(c))
-    if kind is CommandKind.PREDICT_LOCATION:
-        return concat(Bits.zeros(f), Bits.ones(l), Bits.ones(c))
+        return Bits(0, total)
     raise InputError(f"unknown command kind {kind!r}")

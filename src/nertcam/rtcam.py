@@ -206,10 +206,14 @@ class MemoryArray:
         """Valid, non-empty rows as a bitmap: after a lookup, the rows it matched."""
         return self.valid & self.occupied
 
-    def or_rows(self, rows: int) -> int:
-        """OR of the triplet values of the rows set in a row bitmap."""
+    def or_rows(self, rows: int, lo: int = 0, hi: int | None = None) -> int:
+        """OR of the triplet values of the rows set in a row bitmap.
+
+        Only value bits lo to hi - 1 (least significant first; hi defaults
+        to the layout width) are ORed, and the result is shifted down by lo.
+        """
         value = 0
-        for k, col in enumerate(self._cols):
+        for k, col in enumerate(self._cols[lo:hi]):
             if col & rows:
                 value |= 1 << k
         return value

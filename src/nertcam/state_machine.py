@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .preprocess import CommandKind
 from .rtcam import LookupScope, MatchMode, MemoryArray
@@ -70,9 +71,11 @@ class StatusOut:
     full: bool
 
 
-@dataclass(frozen=True)
-class CycleTrace:
-    """One clock cycle of controller activity, for trace output."""
+class CycleTrace(NamedTuple):
+    """One clock cycle of controller activity, for trace output.
+
+    A named tuple, not a dataclass: step() builds one every cycle.
+    """
 
     cycle: int
     state_from: ControllerState
@@ -114,7 +117,8 @@ class Controller:
 
     @property
     def busy(self) -> bool:
-        return self._pending is not None or self.state is not ControllerState.SS
+        # the state is SS whenever nothing is pending
+        return self._pending is not None
 
     def accept(self, kind: CommandKind, query: Bits, dc: Bits) -> bool:
         """Arm a command. Rejected (no effect at all) unless idle in SS."""

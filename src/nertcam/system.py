@@ -1,11 +1,16 @@
 """Top-level device model: preprocess -> memory -> controller -> prediction map.
 
 One System instance is one logical device. Commands are submitted while the
-device is idle; each step() call advances exactly one clock cycle. The
-preprocess and prediction-map blocks are combinational and consume no
-cycles; only controller transitions do. run() is the submit-then-step-
-until-idle convenience and returns the same Response a manual step loop
-would observe.
+device is idle; each step() call advances exactly one clock cycle and
+returns that cycle's CycleTrace. The preprocess and prediction-map blocks
+are combinational and consume no cycles; only controller transitions do.
+
+run() is the per-command path: it submits, then drives the controller one
+step per cycle itself, without going through step(), and adds the
+command's cycles to total_cycles once it completes. Both paths hand the
+controller's completion to the Response through _respond(), so run()
+returns, and leaves behind, exactly what a manual submit() and step() loop
+would.
 """
 
 from __future__ import annotations
@@ -124,26 +129,33 @@ class System:
         if trace is None:
             return None
         self.total_cycles += 1
-        done = self.controller.completion
-        if done is not None:
-            status = StatusOut(done.outcome, done.outcome in ERROR_OUTCOMES,
-                               self.memory.full)
-            prediction = condense(done.matched, done.kind, self.memory)
-            if done.classes is not None:
-                prediction = PredictionOutput(prediction.features, prediction.locations,
-                                              done.classes)
-            self.response = Response(status, prediction, done.cycles)
-            self.controller.completion = None
+        if self.controller.completion is not None:
+            self._respond()
         return trace
 
     def run(self, cmd: MacroCommand) -> Response:
-        """submit() followed by step() until idle; returns the Response."""
+        """submit(), then one controller step per cycle until the command
+        completes; returns the Response a manual step() loop would leave."""
         if self.busy:
             raise BusyError("run() requires an idle device")
         self.submit(cmd)
-        while self.busy:
-            self.step()
-        assert self.response is not None
+        controller = self.controller
+        while controller.completion is None:
+            controller.step()
+        self.total_cycles += controller.completion.cycles
+        return self._respond()
+
+    def _respond(self) -> Response:
+        """Turn the controller's completion into the command's Response: the
+        one place where run() and step() alike hand a finished command over."""
+        done = self.controller.completion
+        self.controller.completion = None
+        status = StatusOut(done.outcome, done.outcome in ERROR_OUTCOMES, self.memory.full)
+        prediction = condense(done.matched, done.kind, self.memory)
+        if done.classes is not None:
+            prediction = PredictionOutput(prediction.features, prediction.locations,
+                                          done.classes)
+        self.response = Response(status, prediction, done.cycles)
         return self.response
 
     def status(self) -> SystemStatus:

@@ -86,3 +86,37 @@ def test_one_hot_class_output_iff_single_shared_class():
     mixed = memory("001|010|100", "010|100|010")
     out = condense(0b11, CommandKind.PREDICT_FEATURE, mixed)
     assert out.classes.popcount == 2
+
+
+def test_condense_matches_row_by_row_or_on_arbitrary_rows():
+    """Rows with arbitrary bits, dead rows among them: each PREDICT output is
+    the OR of the matched live rows, section by section, with the echoed
+    section gated low. The gated section's columns are never read."""
+    layout = SdrLayout(8, 6, 4)
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    width = layout.total
+    rng = random.Random(17)
+    for capacity in (1, 5, 64):
+        for _ in range(30):
+            mem = MemoryArray(layout, capacity)
+            for _ in range(capacity):
+                mem.micro_store(Bits(rng.getrandbits(width), width))
+            mem.valid = rng.getrandbits(capacity)
+            mem.micro_delete()  # released rows keep their (dead) bits
+            matched = rng.getrandbits(capacity) & mem.occupied
+            union = 0
+            for i, row in enumerate(mem.rows):
+                if matched >> i & 1:
+                    union |= row
+            feature, location, class_ = layout.split(Bits(union, width))
+            cols = mem._cols
+            for kind, gated in ((CommandKind.PREDICT_FEATURE, range(c, c + l)),
+                                (CommandKind.PREDICT_LOCATION, range(c + l, width))):
+                # a gated column that is read raises TypeError
+                mem._cols = [None if k in gated else col for k, col in enumerate(cols)]
+                out = condense(matched, kind, mem)
+                assert out.classes == class_
+                if kind is CommandKind.PREDICT_FEATURE:
+                    assert (out.features, out.locations) == (feature, Bits.zeros(l))
+                else:
+                    assert (out.features, out.locations) == (Bits.zeros(f), location)

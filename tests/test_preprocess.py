@@ -2,9 +2,9 @@
 
 import pytest
 
-from nertcam import (Bits, CommandKind, InputError, MacroCommand, PaddingMode,
-                     SdrLayout, build_dc, equality_match, padding_window,
-                     validate_command)
+from nertcam import (Bits, CommandKind, InputError, LayoutError, MacroCommand,
+                     PaddingMode, SdrLayout, build_dc, concat, equality_match,
+                     padding_window, validate_command)
 
 
 
@@ -202,3 +202,124 @@ def test_window_mask_matches_iff_within_distance():
                 for si in range(width):
                     stored = Bits.one_hot(width, si)
                     assert equality_match(stored, query, window) is (abs(si - qi) <= p)
+
+
+# --- exhaustive check against the section-object reference ---------------------------
+
+
+def _ref_window(location, padding, mode):
+    """padding_window as written on Bits sections and position lists."""
+    width = location.width
+    if padding == 0:
+        return Bits.zeros(width)
+    hot = location.hot_positions
+    if len(hot) != 1:
+        raise InputError(f"padding window needs a one-hot location, got {location}")
+    i = hot[0]
+    if mode.is_grid:
+        if mode.rows * mode.cols != width:
+            raise LayoutError(
+                f"grid {mode.rows}x{mode.cols} does not cover {width} location bits")
+        r0, c0 = divmod(i, mode.cols)
+        positions = [
+            r * mode.cols + c
+            for r in range(max(0, r0 - padding), min(mode.rows, r0 + padding + 1))
+            for c in range(max(0, c0 - padding), min(mode.cols, c0 + padding + 1))
+        ]
+    else:
+        positions = range(max(0, i - padding), min(width, i + padding + 1))
+    return Bits.from_positions(width, positions)
+
+
+def _ref_validate(command, layout, khot_features):
+    """validate_command as written on the layout.split sections."""
+    def one_hot(section, name):
+        if section.popcount != 1:
+            raise InputError(f"{name} section must be one-hot, got {section}")
+
+    def zero(section, name):
+        if not section.is_zero:
+            raise InputError(f"{name} section must be all zeros, got {section}")
+
+    def feature_ok(section):
+        if khot_features:
+            if section.is_zero:
+                raise InputError("feature section must be nonzero in k-hot mode")
+        else:
+            one_hot(section, "feature")
+
+    layout.check_width(command.sdr)
+    if command.padding < 0:
+        raise InputError(f"padding must be non-negative, got {command.padding}")
+    if command.padding and command.kind is not CommandKind.PREDICT_FEATURE:
+        raise InputError(
+            f"padding is only accepted on PREDICT_FEATURE, not {command.kind.value}")
+    if command.kind in (CommandKind.CLEAR, CommandKind.RESET):
+        return
+    feature, location, class_ = layout.split(command.sdr)
+    if command.kind in (CommandKind.STORE, CommandKind.DELETE):
+        feature_ok(feature)
+        one_hot(location, "location")
+        one_hot(class_, "class")
+    elif command.kind is CommandKind.INFER:
+        feature_ok(feature)
+        one_hot(location, "location")
+        zero(class_, "class")
+    elif command.kind is CommandKind.PREDICT_FEATURE:
+        zero(feature, "feature")
+        one_hot(location, "location")
+        zero(class_, "class")
+    else:
+        feature_ok(feature)
+        zero(location, "location")
+        zero(class_, "class")
+
+
+def _ref_build_dc(command, layout, mode):
+    """build_dc as the concatenation of per-section masks."""
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    kind = command.kind
+    if kind in (CommandKind.INFER, CommandKind.PREDICT_FEATURE):
+        _, location, _ = layout.split(command.sdr)
+        window = _ref_window(location, command.padding, mode)
+        feature = Bits.ones(f) if kind is CommandKind.PREDICT_FEATURE else Bits.zeros(f)
+        return concat(feature, window, Bits.ones(c))
+    if kind is CommandKind.PREDICT_LOCATION:
+        return concat(Bits.zeros(f), Bits.ones(l), Bits.ones(c))
+    return Bits.zeros(layout.total)
+
+
+def _outcome(fn, *args):
+    """What a call gives: ("ok", result) or (exception class, message)."""
+    try:
+        return "ok", fn(*args)
+    except (InputError, LayoutError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("layout,grid", [
+    (SdrLayout(3, 3, 3), PaddingMode.grid(1, 3)),
+    (SdrLayout(3, 4, 3), PaddingMode.grid(2, 2)),
+])
+def test_preprocess_matches_section_reference_exhaustively(layout, grid):
+    """Every SDR of the layout, every kind, both feature modes and padding
+    0 to 3: validate_command raises what the reference raises, with the same
+    message, and build_dc and padding_window give the reference's masks."""
+    modes = (PaddingMode.linear(), grid)
+    for value in range(1 << layout.total):
+        sdr = Bits(value, layout.total)
+        _, location, _ = layout.split(sdr)
+        for padding in range(4):
+            for mode in modes:
+                assert (_outcome(padding_window, location, padding, mode)
+                        == _outcome(_ref_window, location, padding, mode))
+            for kind in CommandKind:
+                command = MacroCommand(kind, sdr, padding=padding)
+                for khot in (False, True):
+                    got = _outcome(validate_command, command, layout, khot)
+                    assert got == _outcome(_ref_validate, command, layout, khot)
+                    if got[0] != "ok":
+                        continue
+                    for mode in modes:
+                        assert (_outcome(build_dc, command, layout, mode)
+                                == _outcome(_ref_build_dc, command, layout, mode))

@@ -246,3 +246,12 @@ def test_predict_lookup_is_non_destructive():
     assert done.matched == 0b0001
     assert str(Bits(mem.rows[0], 9)) == "001010100"
     assert mem.valid == valid_before
+
+
+def test_cycle_trace_is_a_named_tuple_of_the_cycle_fields():
+    ctrl, _ = controller_with("001|010|100")
+    _, traces = drive(ctrl, CommandKind.RESET, B("000|000|000"), ZERO_DC)
+    assert traces == [(1, ControllerState.SS, ControllerState.SS, "reset", False,
+                       Outcome.SUCCESS)]
+    assert traces[0]._fields == ("cycle", "state_from", "state_to", "micro_op",
+                                 "valid_entry", "outcome")

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from nertcam import (Bits, BusyError, CommandKind, ConfigError, InputError,
-                     MacroCommand, NertcamConfig, Outcome, PaddingMode,
-                     SdrLayout, System)
+from nertcam import (Bits, BusyError, CommandKind, ConfigError, Controller,
+                     InputError, MacroCommand, NertcamConfig, Outcome,
+                     PaddingMode, SdrLayout, System)
+from nertcam.cli import fuzz_records
+from nertcam.traces import record_to_command
 
 
 L333 = SdrLayout(3, 3, 3)
@@ -164,6 +166,85 @@ def test_run_equals_manual_stepping():
             b.step()
         rb = b.response
         assert ra == rb
+
+
+# the three fuzz configs CI runs `nertcam diff` on
+CI_FUZZ_CONFIGS = [
+    (NertcamConfig(SdrLayout(4, 4, 4), 16), {}),
+    (NertcamConfig(SdrLayout(8, 4, 4), 16, khot_features=True), {"khot_features": True}),
+    (NertcamConfig(SdrLayout(16, 25, 8), 64, padding_mode=PaddingMode.grid(5, 5)),
+     {"max_padding": 2}),
+]
+
+
+@pytest.mark.parametrize("config,fuzz", CI_FUZZ_CONFIGS)
+def test_run_in_lockstep_with_submit_and_step(config, fuzz):
+    """run() and a submit() + step() loop leave the same device behind at
+    every command boundary: response, memory image, cycle total, controller
+    state and busy."""
+    a, b = System(config), System(config)
+    for rec in fuzz_records(config.layout, 2000, seed=99, **fuzz):
+        command = record_to_command(rec, config.layout)
+        ra = a.run(command)
+        assert b.submit(command)
+        while b.busy:
+            b.step()
+        assert ra == b.response
+        assert a.save_image() == b.save_image()
+        assert a.total_cycles == b.total_cycles
+        assert a.controller.state is b.controller.state
+        assert a.busy is b.busy is False
+
+
+def test_run_steps_the_controller_once_per_cycle(monkeypatch):
+    """Traced runs count controller steps against cycles, so run() must step
+    through Controller.step, once per cycle."""
+    steps = 0
+    original = Controller.step
+
+    def spy(self):
+        nonlocal steps
+        steps += 1
+        return original(self)
+
+    monkeypatch.setattr(Controller, "step", spy)
+    config = NertcamConfig(SdrLayout(16, 25, 8), 64, padding_mode=PaddingMode.grid(5, 5))
+    system = System(config)
+    kinds = set()
+    for rec in fuzz_records(config.layout, 500, seed=3, max_padding=2):
+        steps = 0
+        resp = system.run(record_to_command(rec, config.layout))
+        assert steps == resp.cycles
+        kinds.add((rec.op, resp.cycles))
+    assert {k for k, _ in kinds} == {k.value for k in CommandKind}
+    assert {c for _, c in kinds} == {1, 2, 3, 4}
+
+
+def test_construction_builds_no_bits(monkeypatch):
+    """System(config) builds no Bits: shared outputs are made on first use."""
+    built = 0
+    original = Bits.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(Bits, "__post_init__", counted)
+    System(NertcamConfig(SdrLayout(5, 7, 3), 32, padding_mode=PaddingMode.grid(1, 7)))
+    assert built == 0
+
+
+def test_non_predict_commands_share_one_zero_output():
+    system = make_system()
+    other = make_system()
+    shared = system.run(cmd(CommandKind.RESET, "000|000|000")).prediction
+    assert shared.is_empty
+    assert other.run(cmd(CommandKind.CLEAR, "000|000|000")).prediction is shared
+    assert store(system, "001|010|100").prediction is shared
+    infer = system.run(cmd(CommandKind.INFER, "001|010|000")).prediction
+    assert str(infer.classes) == "100"
+    assert infer.features is shared.features and infer.locations is shared.locations
 
 
 # --- status ------------------------------------------------------------------------
