@@ -7,7 +7,7 @@ from .oracle import AbstractResponse, Oracle
 from .preprocess import (CommandKind, InputError, MacroCommand, PaddingMode,
                          build_dc, padding_window, validate_command)
 from .prediction_map import PredictionOutput, condense
-from .rtcam import LookupScope, MatchMode, MemoryArray
+from .rtcam import LookupScope, MemoryArray
 from .sdr import (Bits, LayoutError, SdrLayout, concat, equality_match,
                   is_one_hot, membership_match)
 from .state_machine import (Controller, ControllerState, CycleTrace, Outcome,
@@ -31,7 +31,6 @@ __all__ = [
     "LayoutError",
     "LookupScope",
     "MacroCommand",
-    "MatchMode",
     "MemoryArray",
     "NertcamConfig",
     "Oracle",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .oracle import AbstractResponse, Oracle
 from .preprocess import CommandKind, InputError, MacroCommand, PaddingMode
-from .rtcam import LookupScope, MatchMode
+from .rtcam import LookupScope
 from .sdr import Bits, LayoutError, SdrLayout
 from .state_machine import Outcome
 from .system import DEFAULT_LAYOUT, NertcamConfig, Response, System
@@ -393,7 +393,7 @@ def run_bench(layout: SdrLayout, entries_list: list[int], iterations: int,
         dc = Bits.zeros(layout.total)
         t0 = time.perf_counter()
         for _ in range(iterations):
-            system.memory.micro_lookup(probe, dc, LookupScope.ALL, MatchMode.EQUALITY)
+            system.memory.micro_lookup(probe, dc, LookupScope.ALL)
         lookup_s = time.perf_counter() - t0
         system.memory.micro_reset()
         results.append({"entries": n, "op": "lookup", "iterations": iterations,
@@ -427,7 +427,7 @@ def run_bench(layout: SdrLayout, entries_list: list[int], iterations: int,
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
     parts = text.split(",")
     if len(parts) != n or not all(p.strip().lstrip("-").isdigit() for p in parts):
-        raise argparse.ArgumentTypeError(f"{what} must be {n} comma-separated integers")
+        raise ValueError(f"{what} must be {n} comma-separated integers")
     return tuple(int(p) for p in parts)
 
 
@@ -440,12 +440,12 @@ def build_config(args: argparse.Namespace) -> NertcamConfig:
     else:
         layout, capacity = DEFAULT_LAYOUT, 1024
         mode, khot = PaddingMode.linear(), False
-    if getattr(args, "layout", None):
+    if getattr(args, "layout", None) is not None:
         f, l, c = _parse_ints(args.layout, 3, "--layout")
         layout = SdrLayout(f, l, c)
-    if getattr(args, "entries", None):
+    if getattr(args, "entries", None) is not None:
         capacity = args.entries
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         r, c = _parse_ints(args.grid, 2, "--grid")
         mode = PaddingMode.grid(r, c)
     if getattr(args, "khot", False):

@@ -11,7 +11,8 @@ The array is held bit-sliced, as the match lines of CAM hardware see it:
 besides each row's triplet value it keeps one row bitmap per bit position
 (bit i set when row i holds a 1 there), and the valid and occupied bits as
 row bitmaps. A lookup ANDs together the columns of the query's cared
-positions, so every micro-op costs a number of big-integer operations that
+positions, and a validate ORs the class columns of the classes it keeps,
+so every micro-op costs a number of big-integer operations that
 grows with the layout width, not with the row count. Each such operation
 still touches one bit per row.
 
@@ -31,11 +32,6 @@ class LookupScope(Enum):
     """Row population a lookup considers: previously-valid rows, or all rows."""
     VALID_ONLY = "valid_only"
     ALL = "all"
-
-
-class MatchMode(Enum):
-    EQUALITY = "equality"
-    MEMBERSHIP = "membership"
 
 
 def _low_bits(value: int):
@@ -85,20 +81,20 @@ class MemoryArray:
         self._cols = [0] * self.layout.total
         self.valid = self._all_rows
         self.occupied = 0
-        self._valid_entry = False
+        # OR-reduce of the last lookup or validate: did any row match?
+        self.valid_entry = False
 
     def micro_reset(self) -> None:
         """Set every valid bit back to 1; stored triplets are untouched."""
         self.valid = self._all_rows
 
     def micro_lookup(self, query: Bits, dc: Bits,
-                     scope: LookupScope = LookupScope.VALID_ONLY,
-                     mode: MatchMode = MatchMode.EQUALITY) -> tuple[int, bool]:
+                     scope: LookupScope = LookupScope.VALID_ONLY) -> tuple[int, bool]:
         """Masked compare of every row; valid bits are overwritten with the result.
 
         A row matches iff it is non-empty, in scope (ALL ignores the prior
-        valid bit), and its triplet satisfies the mode's predicate against
-        the query under the mask. Returns (match row bitmap, OR-reduce).
+        valid bit), and its triplet equals the query at every position the
+        mask does not cover. Returns (match row bitmap, OR-reduce).
         """
         self.layout.check_width(query)
         self.layout.check_width(dc)
@@ -108,26 +104,20 @@ class MemoryArray:
         if scope is not LookupScope.ALL:
             match &= self.valid
         cols = self._cols
-        if mode is MatchMode.EQUALITY:
-            for k, _ in _low_bits(q & care):
-                match &= cols[k]
-                if not match:
-                    break
-            zeros = care & ~q
-            if match and zeros:
-                # both drops are exact; pick the one with fewer big-int ops
-                if match.bit_count() <= zeros.bit_count():
-                    match = self._drop_by_rows(match, zeros)
-                else:
-                    match = self._drop_by_columns(match, zeros)
-        else:
-            hit = 0
-            for k, _ in _low_bits(q & care):
-                hit |= cols[k]
-            match &= hit
+        for k, _ in _low_bits(q & care):
+            match &= cols[k]
+            if not match:
+                break
+        zeros = care & ~q
+        if match and zeros:
+            # both drops are exact; pick the one with fewer big-int ops
+            if match.bit_count() <= zeros.bit_count():
+                match = self._drop_by_rows(match, zeros)
+            else:
+                match = self._drop_by_columns(match, zeros)
         any_hit = match != 0
         self.valid = match
-        self._valid_entry = any_hit
+        self.valid_entry = any_hit
         return match, any_hit
 
     def _drop_by_rows(self, match: int, zeros: int) -> int:
@@ -139,33 +129,28 @@ class MemoryArray:
         return match
 
     def _drop_by_columns(self, match: int, zeros: int) -> int:
-        """AND out the column of each position set in zeros."""
+        """Clear each candidate row that holds a 1 where zeros is set."""
+        return match & ~self._any_column(zeros)
+
+    def _any_column(self, positions: int) -> int:
+        """Row bitmap of the rows holding a 1 at some position set in positions."""
+        rows = 0
         cols = self._cols
-        for k, _ in _low_bits(zeros):
-            match &= ~cols[k]
-            if not match:
-                break
-        return match
+        for k, _ in _low_bits(positions):
+            rows |= cols[k]
+        return rows
 
     def micro_validate(self) -> Bits:
         """Close the valid set over classes and emit the k-hot class vector.
 
         Unions the class sections of the currently valid rows, then re-marks
-        every non-empty row whose class falls in that union. The re-marking
-        is the internal membership lookup: query carries the union in the
-        class section, the mask covers everything except the union's hot
-        positions.
+        as valid exactly the non-empty rows whose class section meets that
+        union.
         """
-        live = self.valid & self.occupied
-        union = 0
         # the class section is the lowest, so column k is class bit k
-        for k in range(self.layout.class_bits):
-            if self._cols[k] & live:
-                union |= 1 << k
-        total = self.layout.total
-        query = Bits(union, total)
-        dc = Bits(((1 << total) - 1) ^ union, total)
-        self.micro_lookup(query, dc, LookupScope.ALL, MatchMode.MEMBERSHIP)
+        union = self.or_rows(self.valid & self.occupied, 0, self.layout.class_bits)
+        self.valid = self.occupied & self._any_column(union)
+        self.valid_entry = self.valid != 0
         return Bits(union, self.layout.class_bits)
 
     def micro_store(self, triplet: Bits) -> int | None:
@@ -217,16 +202,6 @@ class MemoryArray:
             if col & rows:
                 value |= 1 << k
         return value
-
-    @property
-    def valid_entry(self) -> bool:
-        return self._valid_entry
-
-    def snapshot_valid(self) -> int:
-        return self.valid
-
-    def restore_valid(self, snapshot: int) -> None:
-        self.valid = snapshot
 
     # --- memory-image text format ----------------------------------------
 

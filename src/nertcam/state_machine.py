@@ -37,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .preprocess import CommandKind
-from .rtcam import LookupScope, MatchMode, MemoryArray
+from .rtcam import LookupScope, MemoryArray
 from .sdr import Bits
 
 
@@ -162,17 +162,16 @@ class Controller:
             self._finish(p, Outcome.SUCCESS)
             return "reset"
         if kind in (CommandKind.PREDICT_FEATURE, CommandKind.PREDICT_LOCATION):
-            saved = mem.snapshot_valid()
-            mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY, MatchMode.EQUALITY)
-            matched = mem.matched_rows()
-            mem.restore_valid(saved)
+            saved = mem.valid
+            matched, _ = mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY)
+            mem.valid = saved
             self._finish(p, Outcome.SUCCESS, matched=matched)
             return "lookup"
         if kind in (CommandKind.STORE, CommandKind.DELETE):
             # duplicate / target search: exact match over every row
-            mem.micro_lookup(p.query, p.dc, LookupScope.ALL, MatchMode.EQUALITY)
+            mem.micro_lookup(p.query, p.dc, LookupScope.ALL)
         else:  # INFER narrows within the currently valid rows
-            mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY, MatchMode.EQUALITY)
+            mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY)
         self.state = ControllerState.FL
         return "lookup"
 
@@ -212,7 +211,7 @@ class Controller:
             self._finish(p, outcome)
             return "reset"
         # INFER retry: every valid bit is 1 here, so this searches everything
-        mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY, MatchMode.EQUALITY)
+        mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY)
         self.state = ControllerState.SL
         return "lookup"
 

@@ -6,7 +6,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from nertcam import (Bits, CommandKind, LookupScope, MacroCommand, MatchMode,
+from nertcam import (Bits, CommandKind, LookupScope, MacroCommand,
                      MemoryArray, NertcamConfig, Outcome, SdrLayout, System,
                      build_dc, concat, equality_match, padding_window)
 from nertcam.cli import (diff_records, fuzz_records, generate_dataset,
@@ -286,5 +286,5 @@ def test_c8_scaling_smoke():
 
 def _timed(mem, probe, dc):
     t0 = time.perf_counter()
-    mem.micro_lookup(probe, dc, LookupScope.ALL, MatchMode.EQUALITY)
+    mem.micro_lookup(probe, dc, LookupScope.ALL)
     return time.perf_counter() - t0

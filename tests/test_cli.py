@@ -160,6 +160,17 @@ def test_run_parse_error_exits_one(tmp_path, capsys):
                  "--trace", str(trace)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # an explicit zero capacity is rejected, not replaced by the default
+    trace.write_text('{"op": "RESET"}\n')
+    for command in ("run", "diff"):
+        code = main([command, "--layout", "8,4,2", "--entries", "0",
+                     "--trace", str(trace)])
+        assert code == 1
+        assert "capacity must be >= 1, got 0" in capsys.readouterr().err
+    # so is an empty override, with a message rather than a traceback
+    code = main(["run", "--layout", "", "--trace", str(trace)])
+    assert code == 1
+    assert "error: --layout must be 3 comma-separated integers" in capsys.readouterr().err
 
 
 # --- diff ------------------------------------------------------------------------

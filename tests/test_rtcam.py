@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nertcam import (Bits, LayoutError, LookupScope, MatchMode, MemoryArray,
+from nertcam import (Bits, LayoutError, LookupScope, MemoryArray,
                      SdrLayout, concat, equality_match, membership_match)
 
 
@@ -65,8 +65,7 @@ def test_reset_restores_valid_bits_only():
 def test_lookup_narrows_to_matching_pair():
     # set oracle: only class 100 contains the pair (feature 001, location 010)
     mem = mem333("001|010|100", "001|100|010")
-    match, hit = mem.micro_lookup(B("001|010|000"), B(INFER_DC),
-                                  LookupScope.VALID_ONLY, MatchMode.EQUALITY)
+    match, hit = mem.micro_lookup(B("001|010|000"), B(INFER_DC), LookupScope.VALID_ONLY)
     assert match == 0b0001
     assert hit
     assert mem.valid == 0b0001
@@ -112,7 +111,7 @@ def test_valid_only_is_all_intersect_prior_valid():
 
 
 def test_lookup_agrees_with_match_predicates():
-    """A one-row array is exactly the sdr-level predicate, exhaustively."""
+    """A one-row array is exactly the sdr-level equality predicate, exhaustively."""
     layout = SdrLayout(1, 1, 2)  # 4-bit rows
     for sv in range(16):
         for qv in range(16):
@@ -120,16 +119,14 @@ def test_lookup_agrees_with_match_predicates():
                 s, q, d = Bits(sv, 4), Bits(qv, 4), Bits(dv, 4)
                 mem = MemoryArray(layout, 1)
                 mem.micro_store(s)
-                _, hit_eq = mem.micro_lookup(q, d, LookupScope.ALL, MatchMode.EQUALITY)
-                assert hit_eq is equality_match(s, q, d)
-                mem.micro_reset()
-                _, hit_mb = mem.micro_lookup(q, d, LookupScope.ALL, MatchMode.MEMBERSHIP)
-                assert hit_mb is membership_match(s, q, d)
+                _, hit = mem.micro_lookup(q, d, LookupScope.ALL)
+                assert hit is equality_match(s, q, d)
 
 
 def test_lookup_matches_predicates_row_by_row(monkeypatch):
     """Multi-row reference: on rows with arbitrary bits, the match bitmap is
-    the predicate applied row by row over the in-scope occupied rows."""
+    equality_match applied row by row over the in-scope occupied rows, and
+    validate's union and class closure are membership_match row by row."""
     paths = {"_drop_by_rows": 0, "_drop_by_columns": 0}
     for name in paths:
         def spy(self, match, zeros, _name=name, _drop=getattr(MemoryArray, name)):
@@ -139,12 +136,12 @@ def test_lookup_matches_predicates_row_by_row(monkeypatch):
 
     layout = SdrLayout(8, 8, 4)
     width = layout.total
+    ones = (1 << width) - 1
     rng = random.Random(5)
 
     def sparse(p):
         return sum(1 << k for k in range(width) if rng.random() < p)
 
-    predicates = {MatchMode.EQUALITY: equality_match, MatchMode.MEMBERSHIP: membership_match}
     for capacity in (1, 7, 64, 300):
         for _ in range(40):
             mem = MemoryArray(layout, capacity)
@@ -154,19 +151,37 @@ def test_lookup_matches_predicates_row_by_row(monkeypatch):
             mem.micro_delete()  # released rows keep their (dead) bits
             valid = rng.getrandbits(capacity)
             for scope in LookupScope:
-                for mode in MatchMode:
-                    query = Bits(sparse(rng.choice((0.1, 0.5, 0.9))), width)
-                    dc = Bits(sparse(rng.choice((0.1, 0.5, 0.9))), width)
-                    mem.valid = valid
-                    match, hit = mem.micro_lookup(query, dc, scope, mode)
-                    expected = 0
-                    for i, row in enumerate(mem.rows):
-                        in_scope = mem.occupied >> i & 1 and (
-                            scope is LookupScope.ALL or valid >> i & 1)
-                        if in_scope and predicates[mode](Bits(row, width), query, dc):
-                            expected |= 1 << i
-                    assert match == expected == mem.valid
-                    assert hit is (expected != 0)
+                query = Bits(sparse(rng.choice((0.1, 0.5, 0.9))), width)
+                dc = Bits(sparse(rng.choice((0.1, 0.5, 0.9))), width)
+                mem.valid = valid
+                match, hit = mem.micro_lookup(query, dc, scope)
+                expected = 0
+                for i, row in enumerate(mem.rows):
+                    in_scope = mem.occupied >> i & 1 and (
+                        scope is LookupScope.ALL or valid >> i & 1)
+                    if in_scope and equality_match(Bits(row, width), query, dc):
+                        expected |= 1 << i
+                assert match == expected == mem.valid
+                assert hit is (expected != 0)
+            # validate: class k is in the union iff some valid occupied row
+            # holds it; the closure keeps the occupied rows that meet the union
+            mem.valid = valid
+            classes = mem.micro_validate()
+            union = 0
+            for k in range(layout.class_bits):
+                query, dc = Bits(1 << k, width), Bits(ones ^ 1 << k, width)
+                if any(mem.occupied >> i & 1 and valid >> i & 1
+                       and membership_match(Bits(row, width), query, dc)
+                       for i, row in enumerate(mem.rows)):
+                    union |= 1 << k
+            assert classes == Bits(union, layout.class_bits)
+            query, dc = Bits(union, width), Bits(ones ^ union, width)
+            closed = 0
+            for i, row in enumerate(mem.rows):
+                if mem.occupied >> i & 1 and membership_match(Bits(row, width), query, dc):
+                    closed |= 1 << i
+            assert mem.valid == closed
+            assert mem.valid_entry is (closed != 0)
     # both exact ways of dropping survivors at cared 0-positions were taken
     assert paths["_drop_by_rows"] > 0 and paths["_drop_by_columns"] > 0
 
@@ -180,7 +195,7 @@ def test_validate_unions_and_closes_over_classes():
     classes = mem.micro_validate()
     assert str(classes) == "110"
     assert mem.valid == 0b1011
-    # the closed-over valid set is what the internal lookup matched
+    # the closed-over valid set is what matched_rows reports
     assert rows_of(mem.matched_rows()) == [0, 1, 3]
 
 
@@ -217,6 +232,23 @@ def test_validate_single_class_is_one_hot():
     assert str(classes) == "100"
     # closure marked the other row of the same class valid too
     assert mem.valid == 0b0011
+
+
+def test_validate_builds_one_bits(monkeypatch):
+    """Validate reads the class columns directly: its result is the only Bits."""
+    mem = mem333("001|010|100", "010|100|010", "100|001|001")
+    mem.valid = 0b0011
+    built = 0
+    original = Bits.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(Bits, "__post_init__", counted)
+    mem.micro_validate()
+    assert built == 1
 
 
 def test_validate_with_no_valid_rows():
