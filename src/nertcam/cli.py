@@ -424,10 +424,13 @@ def run_bench(layout: SdrLayout, entries_list: list[int], iterations: int,
 
 # --- argument plumbing -----------------------------------------------------------
 
-def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
+def _parse_ints(text: str, n: int | None, what: str) -> tuple[int, ...]:
+    """n comma-separated integers, or any number of them when n is None."""
     parts = text.split(",")
-    if len(parts) != n or not all(p.strip().lstrip("-").isdigit() for p in parts):
-        raise ValueError(f"{what} must be {n} comma-separated integers")
+    if (n is not None and len(parts) != n
+            or not all(p.strip().lstrip("-").isdigit() for p in parts)):
+        count = "" if n is None else f"{n} "
+        raise ValueError(f"{what} must be {count}comma-separated integers")
     return tuple(int(p) for p in parts)
 
 
@@ -465,9 +468,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    f, l, c = _parse_ints(args.layout, 3, "--layout") if args.layout else (128, 25, 10)
+    f, l, c = (_parse_ints(args.layout, 3, "--layout") if args.layout is not None
+               else (128, 25, 10))
     layout = SdrLayout(f, l, c)
-    rows, cols = _parse_ints(args.grid, 2, "--grid") if args.grid else (5, 5)
+    rows, cols = _parse_ints(args.grid, 2, "--grid") if args.grid is not None else (5, 5)
     ds = generate_dataset(args.classes, (rows, cols), args.features, args.samples,
                           layout, seed=args.seed)
     out = Path(args.out_dir)
@@ -515,10 +519,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    f, l, c = _parse_ints(args.layout, 3, "--layout") if args.layout else (128, 25, 10)
+    f, l, c = (_parse_ints(args.layout, 3, "--layout") if args.layout is not None
+               else (128, 25, 10))
     layout = SdrLayout(f, l, c)
-    entries = ([int(x) for x in args.entries.split(",")] if args.entries
-               else [64, 128, 256, 512, 1024])
+    entries = (list(_parse_ints(args.entries, None, "--entries"))
+               if args.entries is not None else [64, 128, 256, 512, 1024])
     if args.iterations < 1:
         print(json.dumps({"results": []}))
         return 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .sdr import Bits, LayoutError, SdrLayout
 
@@ -76,22 +77,34 @@ class PaddingMode:
 LINEAR_1D = PaddingMode.linear()
 
 
-def _require_one_hot(section: int, width: int, name: str) -> None:
-    if not (section and not section & (section - 1)):
-        raise InputError(f"{name} section must be one-hot, got {Bits(section, width)}")
+# each section's rule in validate_command: one-hot, all zeros, or the
+# feature rule (one-hot, or any nonzero pattern in k-hot mode)
+_ONE_HOT, _ZERO, _FEATURE = "one-hot", "zero", "feature"
+
+#: (feature, location, class) rule of each kind whose input is checked;
+#: CLEAR and RESET discard the input and have no entry.
+_SHAPES = {
+    CommandKind.STORE: (_FEATURE, _ONE_HOT, _ONE_HOT),
+    CommandKind.DELETE: (_FEATURE, _ONE_HOT, _ONE_HOT),
+    CommandKind.INFER: (_FEATURE, _ONE_HOT, _ZERO),
+    CommandKind.PREDICT_FEATURE: (_ZERO, _ONE_HOT, _ZERO),
+    CommandKind.PREDICT_LOCATION: (_FEATURE, _ZERO, _ZERO),
+}
+
+_INFER = CommandKind.INFER
+_PREDICT_FEATURE = CommandKind.PREDICT_FEATURE
 
 
-def _require_zero(section: int, width: int, name: str) -> None:
-    if section:
-        raise InputError(f"{name} section must be all zeros, got {Bits(section, width)}")
-
-
-def _require_feature(section: int, width: int, khot_features: bool) -> None:
-    if khot_features:
+def _check_section(rule: str, section: int, width: int, name: str,
+                   khot_features: bool) -> None:
+    if rule is _ZERO:
+        if section:
+            raise InputError(f"{name} section must be all zeros, got {Bits(section, width)}")
+    elif rule is _FEATURE and khot_features:
         if not section:
             raise InputError("feature section must be nonzero in k-hot mode")
-    else:
-        _require_one_hot(section, width, "feature")
+    elif not (section and not section & (section - 1)):
+        raise InputError(f"{name} section must be one-hot, got {Bits(section, width)}")
 
 
 def validate_command(cmd: MacroCommand, layout: SdrLayout,
@@ -106,31 +119,16 @@ def validate_command(cmd: MacroCommand, layout: SdrLayout,
     kind = cmd.kind
     if cmd.padding < 0:
         raise InputError(f"padding must be non-negative, got {cmd.padding}")
-    if cmd.padding and kind is not CommandKind.PREDICT_FEATURE:
+    if cmd.padding and kind is not _PREDICT_FEATURE:
         raise InputError(f"padding is only accepted on PREDICT_FEATURE, not {kind.value}")
-    if kind is CommandKind.CLEAR or kind is CommandKind.RESET:
+    shape = _SHAPES.get(kind)
+    if shape is None:
         return
     f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
     value = cmd.sdr.value
-    feature = value >> (l + c)
-    location = (value >> c) & ((1 << l) - 1)
-    class_ = value & ((1 << c) - 1)
-    if kind is CommandKind.STORE or kind is CommandKind.DELETE:
-        _require_feature(feature, f, khot_features)
-        _require_one_hot(location, l, "location")
-        _require_one_hot(class_, c, "class")
-    elif kind is CommandKind.INFER:
-        _require_feature(feature, f, khot_features)
-        _require_one_hot(location, l, "location")
-        _require_zero(class_, c, "class")
-    elif kind is CommandKind.PREDICT_FEATURE:
-        _require_zero(feature, f, "feature")
-        _require_one_hot(location, l, "location")
-        _require_zero(class_, c, "class")
-    elif kind is CommandKind.PREDICT_LOCATION:
-        _require_feature(feature, f, khot_features)
-        _require_zero(location, l, "location")
-        _require_zero(class_, c, "class")
+    _check_section(shape[0], value >> (l + c), f, "feature", khot_features)
+    _check_section(shape[1], (value >> c) & ((1 << l) - 1), l, "location", khot_features)
+    _check_section(shape[2], value & ((1 << c) - 1), c, "class", khot_features)
 
 
 def _window(location: int, width: int, padding: int, mode: PaddingMode) -> int:
@@ -169,6 +167,26 @@ def padding_window(location: Bits, padding: int, mode: PaddingMode = LINEAR_1D) 
     return Bits(_window(location.value, location.width, padding, mode), location.width)
 
 
+@cache
+def _masks(layout: SdrLayout) -> dict[CommandKind, Bits]:
+    """Each kind's DC mask at zero padding; four distinct values per layout,
+    built once and shared by every command."""
+    l, c = layout.location_bits, layout.class_bits
+    total = layout.total
+    none = Bits(0, total)
+    classes = (1 << c) - 1
+    return {
+        CommandKind.CLEAR: none,
+        CommandKind.RESET: none,
+        CommandKind.STORE: none,
+        CommandKind.DELETE: none,
+        CommandKind.INFER: Bits(classes, total),
+        # the whole feature section, and the class section
+        CommandKind.PREDICT_FEATURE: Bits((1 << total) - (1 << (l + c)) | classes, total),
+        CommandKind.PREDICT_LOCATION: Bits((1 << (l + c)) - 1, total),
+    }
+
+
 def build_dc(cmd: MacroCommand, layout: SdrLayout,
              mode: PaddingMode = LINEAR_1D) -> Bits:
     """DC mask for a validated command.
@@ -176,20 +194,15 @@ def build_dc(cmd: MacroCommand, layout: SdrLayout,
     STORE/DELETE compare every bit (all-zero mask); INFER ignores the class
     section; PREDICT_FEATURE ignores feature and class; PREDICT_LOCATION
     ignores location and class. CLEAR/RESET never reach the memory, their
-    mask is all-zero by convention.
+    mask is all-zero by convention. Padding widens the location section of
+    an INFER or PREDICT_FEATURE mask; every other mask is shared.
     """
-    l, c = layout.location_bits, layout.class_bits
-    total = layout.total
     kind = cmd.kind
-    if kind is CommandKind.INFER or kind is CommandKind.PREDICT_FEATURE:
-        location = (cmd.sdr.value >> c) & ((1 << l) - 1)
-        mask = _window(location, l, cmd.padding, mode) << c | ((1 << c) - 1)
-        if kind is CommandKind.PREDICT_FEATURE:
-            mask |= (1 << total) - (1 << (l + c))  # the whole feature section
-        return Bits(mask, total)
-    if kind is CommandKind.PREDICT_LOCATION:
-        return Bits((1 << (l + c)) - 1, total)
-    if kind in (CommandKind.CLEAR, CommandKind.RESET,
-                CommandKind.STORE, CommandKind.DELETE):
-        return Bits(0, total)
-    raise InputError(f"unknown command kind {kind!r}")
+    base = _masks(layout).get(kind)
+    if base is None:
+        raise InputError(f"unknown command kind {kind!r}")
+    if not cmd.padding or not (kind is _PREDICT_FEATURE or kind is _INFER):
+        return base
+    l, c = layout.location_bits, layout.class_bits
+    location = (cmd.sdr.value >> c) & ((1 << l) - 1)
+    return Bits(base.value | _window(location, l, cmd.padding, mode) << c, base.width)

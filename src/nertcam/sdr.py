@@ -12,6 +12,7 @@ locations are adjacent string positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -141,8 +142,10 @@ class SdrLayout:
             if getattr(self, name) < 1:
                 raise LayoutError(f"{name} must be >= 1")
 
-    @property
+    @cached_property
     def total(self) -> int:
+        # computed on first read and kept in the instance; not a field, so
+        # == and hash still see only the three widths
         return self.feature_bits + self.location_bits + self.class_bits
 
     def check_width(self, bits: Bits) -> None:
@@ -165,22 +168,11 @@ class SdrLayout:
 
         A k-hot feature section may be passed as Bits of the feature width.
         """
-        value = 0
-        for name, width, hot in (("feature", self.feature_bits, feature),
-                                 ("location", self.location_bits, location),
-                                 ("class", self.class_bits, class_)):
-            value <<= width
-            if hot is None:
-                continue
-            if isinstance(hot, Bits):
-                if hot.width != width:
-                    raise LayoutError(f"{name} section width {hot.width} != layout {width}")
-                value |= hot.value
-            elif 0 <= hot < width:
-                value |= 1 << (width - 1 - hot)
-            else:
-                raise LayoutError(f"{name} index {hot} outside width {width}")
-        return Bits(value, self.total)
+        l, c = self.location_bits, self.class_bits
+        return Bits(_section_value("feature", self.feature_bits, feature) << (l + c)
+                    | _section_value("location", l, location) << c
+                    | _section_value("class", c, class_),
+                    self.total)
 
     def parse(self, text: str) -> Bits:
         return Bits.parse(text, width=self.total)
@@ -189,6 +181,20 @@ class SdrLayout:
         """Human-readable text with '|' between sections."""
         f, l, c = self.split(sdr)
         return f"{f}|{l}|{c}"
+
+
+def _section_value(name: str, width: int, hot: int | Bits | None) -> int:
+    """One section's value for SdrLayout.triplet: zero, the hot index's bit,
+    or a Bits of the section width."""
+    if hot is None:
+        return 0
+    if isinstance(hot, Bits):
+        if hot.width != width:
+            raise LayoutError(f"{name} section width {hot.width} != layout {width}")
+        return hot.value
+    if 0 <= hot < width:
+        return 1 << (width - 1 - hot)
+    raise LayoutError(f"{name} index {hot} outside width {width}")
 
 
 def is_one_hot(v: Bits) -> bool:

@@ -62,6 +62,19 @@ ERROR_OUTCOMES = frozenset(
 )
 
 
+# members bound once, so that per-cycle code loads none off its class
+_SS, _FL, _IR, _SL = (ControllerState.SS, ControllerState.FL,
+                      ControllerState.IR, ControllerState.SL)
+_CLEAR, _RESET = CommandKind.CLEAR, CommandKind.RESET
+_STORE, _DELETE = CommandKind.STORE, CommandKind.DELETE
+_PREDICT_FEATURE = CommandKind.PREDICT_FEATURE
+_PREDICT_LOCATION = CommandKind.PREDICT_LOCATION
+_SUCCESS, _CONTEXT_SWITCH = Outcome.SUCCESS, Outcome.CONTEXT_SWITCH
+_STORE_FAILED, _DELETE_FAILED = Outcome.STORE_FAILED, Outcome.DELETE_FAILED
+_INFER_FAILED = Outcome.INFER_FAILED
+_ALL, _VALID_ONLY = LookupScope.ALL, LookupScope.VALID_ONLY
+
+
 @dataclass(frozen=True)
 class StatusOut:
     """Status signals reported back to the agent for one command."""
@@ -136,93 +149,91 @@ class Controller:
         before = self.state
         self.cycle_count += 1
         p.cycles += 1
-        mem = self.memory
-        if before is ControllerState.SS:
+        if before is _SS:
             micro = self._step_ss(p)
-        elif before is ControllerState.FL:
+        elif before is _FL:
             micro = self._step_fl(p)
-        elif before is ControllerState.IR:
+        elif before is _IR:
             micro = self._step_ir(p)
         else:
             micro = self._step_sl(p)
         return CycleTrace(self.cycle_count, before, self.state, micro,
-                          mem.valid_entry, p.outcome)
+                          self.memory.valid_entry, p.outcome)
 
     # --- per-state actions -------------------------------------------------
 
     def _step_ss(self, p: Completion) -> str:
         kind = p.kind
         mem = self.memory
-        if kind is CommandKind.CLEAR:
+        if kind is _CLEAR:
             mem.micro_clear()
-            self._finish(p, Outcome.SUCCESS)
+            self._finish(p, _SUCCESS)
             return "clear"
-        if kind is CommandKind.RESET:
+        if kind is _RESET:
             mem.micro_reset()
-            self._finish(p, Outcome.SUCCESS)
+            self._finish(p, _SUCCESS)
             return "reset"
-        if kind in (CommandKind.PREDICT_FEATURE, CommandKind.PREDICT_LOCATION):
+        if kind is _PREDICT_FEATURE or kind is _PREDICT_LOCATION:
             saved = mem.valid
-            matched, _ = mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY)
+            matched, _ = mem.micro_lookup(p.query, p.dc, _VALID_ONLY)
             mem.valid = saved
-            self._finish(p, Outcome.SUCCESS, matched=matched)
+            self._finish(p, _SUCCESS, matched=matched)
             return "lookup"
-        if kind in (CommandKind.STORE, CommandKind.DELETE):
+        if kind is _STORE or kind is _DELETE:
             # duplicate / target search: exact match over every row
-            mem.micro_lookup(p.query, p.dc, LookupScope.ALL)
+            mem.micro_lookup(p.query, p.dc, _ALL)
         else:  # INFER narrows within the currently valid rows
-            mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY)
-        self.state = ControllerState.FL
+            mem.micro_lookup(p.query, p.dc, _VALID_ONLY)
+        self.state = _FL
         return "lookup"
 
     def _step_fl(self, p: Completion) -> str:
         mem = self.memory
         hit = mem.valid_entry
-        if p.kind is CommandKind.STORE:
+        if p.kind is _STORE:
             if hit:
                 mem.micro_reset()
-                self._finish(p, Outcome.STORE_FAILED)
+                self._finish(p, _STORE_FAILED)
                 return "reset"
             p.store_full = mem.micro_store(p.query) is None
-            self.state = ControllerState.IR
+            self.state = _IR
             return "store"
-        if p.kind is CommandKind.DELETE:
+        if p.kind is _DELETE:
             if hit:
                 mem.micro_delete()
-                self.state = ControllerState.IR
+                self.state = _IR
                 return "delete"
             mem.micro_reset()
-            self._finish(p, Outcome.DELETE_FAILED)
+            self._finish(p, _DELETE_FAILED)
             return "reset"
         # INFER
         if hit:
             classes = mem.micro_validate()
-            self._finish(p, Outcome.SUCCESS, classes=classes)
+            self._finish(p, _SUCCESS, classes=classes)
             return "validate"
         mem.micro_reset()
-        self.state = ControllerState.IR
+        self.state = _IR
         return "reset"
 
     def _step_ir(self, p: Completion) -> str:
         mem = self.memory
-        if p.kind in (CommandKind.STORE, CommandKind.DELETE):
+        if p.kind is _STORE or p.kind is _DELETE:
             mem.micro_reset()
-            outcome = Outcome.STORE_FAILED if p.store_full else Outcome.SUCCESS
-            self._finish(p, outcome)
+            self._finish(p, _STORE_FAILED if p.store_full else _SUCCESS)
             return "reset"
         # INFER retry: every valid bit is 1 here, so this searches everything
-        mem.micro_lookup(p.query, p.dc, LookupScope.VALID_ONLY)
-        self.state = ControllerState.SL
+        mem.micro_lookup(p.query, p.dc, _VALID_ONLY)
+        self.state = _SL
         return "lookup"
 
     def _step_sl(self, p: Completion) -> str:
         mem = self.memory
         if mem.valid_entry:
             classes = mem.micro_validate()
-            self._finish(p, Outcome.CONTEXT_SWITCH, classes=classes)
+            self._finish(p, _CONTEXT_SWITCH, classes=classes)
             return "validate"
         mem.micro_reset()
-        self._finish(p, Outcome.INFER_FAILED)
+        self._finish(p, _INFER_FAILED)
         return "reset"
 
     def _finish(self, p: Completion, outcome: Outcome,
@@ -231,5 +242,5 @@ class Controller:
         p.classes = classes
         p.matched = matched
         self.completion = p
-        self.state = ControllerState.SS
+        self.state = _SS
         self._pending = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .preprocess import (LINEAR_1D, MacroCommand, PaddingMode, build_dc,
                          validate_command)
-from .prediction_map import PredictionOutput, condense
+from .prediction_map import PredictionOutput, condense, zero_output
 from .rtcam import MemoryArray
 from .sdr import Bits, SdrLayout
 from .state_machine import (Controller, CycleTrace, ERROR_OUTCOMES, Outcome,
@@ -28,6 +28,13 @@ from .state_machine import (Controller, CycleTrace, ERROR_OUTCOMES, Outcome,
 #: Section widths used for the benchmark-scale configuration (165-bit rows
 #: once the valid and empty bits are counted).
 DEFAULT_LAYOUT = SdrLayout(feature_bits=128, location_bits=25, class_bits=10)
+
+
+#: The ten possible status values, indexed [full][outcome] and shared by
+#: every Response; error is set for exactly the ERROR_OUTCOMES.
+_STATUS = tuple({outcome: StatusOut(outcome, outcome in ERROR_OUTCOMES, full)
+                 for outcome in Outcome}
+                for full in (False, True))
 
 
 class ConfigError(ValueError):
@@ -116,8 +123,9 @@ class System:
         InputError / LayoutError for malformed commands; nothing is armed
         in that case either.
         """
-        validate_command(cmd, self.layout, self.config.khot_features)
-        dc = build_dc(cmd, self.layout, self.config.padding_mode)
+        config = self.config
+        validate_command(cmd, config.layout, config.khot_features)
+        dc = build_dc(cmd, config.layout, config.padding_mode)
         accepted = self.controller.accept(cmd.kind, cmd.sdr, dc)
         if accepted:
             self.response = None
@@ -136,10 +144,10 @@ class System:
     def run(self, cmd: MacroCommand) -> Response:
         """submit(), then one controller step per cycle until the command
         completes; returns the Response a manual step() loop would leave."""
-        if self.busy:
+        controller = self.controller
+        if controller.busy:
             raise BusyError("run() requires an idle device")
         self.submit(cmd)
-        controller = self.controller
         while controller.completion is None:
             controller.step()
         self.total_cycles += controller.completion.cycles
@@ -150,11 +158,15 @@ class System:
         one place where run() and step() alike hand a finished command over."""
         done = self.controller.completion
         self.controller.completion = None
-        status = StatusOut(done.outcome, done.outcome in ERROR_OUTCOMES, self.memory.full)
-        prediction = condense(done.matched, done.kind, self.memory)
-        if done.classes is not None:
-            prediction = PredictionOutput(prediction.features, prediction.locations,
-                                          done.classes)
+        memory = self.memory
+        status = _STATUS[memory.full][done.outcome]
+        if done.matched is not None:  # a PREDICT's lookup
+            prediction = condense(done.matched, done.kind, memory)
+        else:
+            prediction = zero_output(memory.layout)
+            if done.classes is not None:  # an INFER's validated classes
+                prediction = PredictionOutput(prediction.features, prediction.locations,
+                                              done.classes)
         self.response = Response(status, prediction, done.cycles)
         return self.response
 

@@ -32,6 +32,9 @@ class ParseError(ValueError):
 
 _OPTIONAL_FIELDS = {"feature", "feature_bits", "location", "class", "padding"}
 
+#: Each op's command kind.
+_OP_KINDS = {kind.value: kind for kind in CommandKind}
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -73,7 +76,7 @@ def parse_record(text: str, line: int = 0) -> TraceRecord:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ParseError(f"line {line}: each record needs an 'op' field")
     op = obj["op"]
-    if op not in CommandKind._value2member_map_:
+    if op not in _OP_KINDS:
         raise ParseError(f"line {line}: unknown op {op!r}")
     unknown = set(obj) - _OPTIONAL_FIELDS - {"op"}
     if unknown:
@@ -119,7 +122,9 @@ def record_to_command(rec: TraceRecord, layout: SdrLayout) -> MacroCommand:
         sdr = layout.triplet(feature, rec.location, rec.class_)
     except LayoutError as exc:
         raise ParseError(f"line {rec.line}: {exc}") from exc
-    return MacroCommand(CommandKind(rec.op), sdr, padding=rec.padding)
+    # an op outside the table still raises CommandKind's ValueError
+    kind = _OP_KINDS.get(rec.op) or CommandKind(rec.op)
+    return MacroCommand(kind, sdr, rec.padding)
 
 
 # --- config files ----------------------------------------------------------

@@ -42,7 +42,13 @@ def test_gen_is_seed_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
-def test_gen_parameter_errors():
+def test_gen_parameter_errors(tmp_path, capsys):
+    # an empty override is an error, not a request for the default
+    for flags in (["--layout", ""], ["--grid", ""], ["--layout", "", "--grid", ""]):
+        code = main(["gen", *flags, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "comma-separated integers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
     layout = SdrLayout(8, 9, 4)
     with pytest.raises(ValueError, match="grid"):
         generate_dataset(4, (2, 3), 8, 1, layout)
@@ -231,6 +237,21 @@ def test_bench_rejects_unfillable_capacity(capsys):
                  "--iterations", "1"])
     assert code == 1
     assert "cannot fill" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--layout", ""], "--layout must be 3 comma-separated integers"),
+    (["--entries", ""], "--entries must be comma-separated integers"),
+    (["--layout", "", "--entries", ""], "--layout must be 3 comma-separated integers"),
+    (["--entries", "8,"], "--entries must be comma-separated integers"),
+    (["--entries", "8,x"], "--entries must be comma-separated integers"),
+])
+def test_bench_rejects_malformed_overrides(flags, message, capsys):
+    code = main(["bench", *flags, "--iterations", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 # --- report invariants -------------------------------------------------------

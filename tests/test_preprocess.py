@@ -106,7 +106,10 @@ def test_khot_features_relax_feature_section_only(layout333):
     (CommandKind.RESET, "000|000|000", "000000000"),
 ])
 def test_dc_masks_at_zero_padding(layout333, kind, text, expect):
-    assert str(build_dc(cmd(kind, text), layout333)) == expect
+    mask = build_dc(cmd(kind, text), layout333)
+    assert str(mask) == expect
+    # unpadded commands of one kind share one mask per layout value
+    assert build_dc(cmd(kind, text), SdrLayout(3, 3, 3)) is mask
 
 
 def test_dc_padding_only_widens_location(layout333):
@@ -116,6 +119,12 @@ def test_dc_padding_only_widens_location(layout333):
     assert str(f) == "111"
     assert str(l) == "111"  # window around the middle of a 3-wide section
     assert str(c) == "111"
+    # a padded mask is built per command, never the shared unpadded one
+    unpadded = build_dc(cmd(CommandKind.PREDICT_FEATURE, "000|010|000"), layout333)
+    again = build_dc(cmd(CommandKind.PREDICT_FEATURE, "000|010|000", padding=1),
+                     layout333)
+    assert again == mask and again is not mask
+    assert str(unpadded) == "111000111" and mask is not unpadded
 
 
 def test_dc_never_pads_feature_or_class():

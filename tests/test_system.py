@@ -246,6 +246,55 @@ def test_non_predict_commands_share_one_zero_output():
     assert str(infer.classes) == "100"
     assert infer.features is shared.features and infer.locations is shared.locations
 
+    # two responses with one outcome and full flag carry one StatusOut,
+    # whether the command went through run() or submit() and step()
+    ran, stepped = make_system(capacity=1), make_system(capacity=1)
+
+    def step_through(command):
+        assert stepped.submit(command)
+        while stepped.step() is not None:
+            pass
+        return stepped.response
+
+    reset = cmd(CommandKind.RESET, "000|000|000")
+    first = ran.run(reset).status
+    assert ran.run(reset).status is first
+    assert step_through(reset).status is first
+    assert first.outcome is Outcome.SUCCESS and not first.error and not first.full
+    for device in (ran, stepped):
+        store(device, "001|010|100")
+    failed = [ran.run(cmd(CommandKind.STORE, "001|010|100")).status,
+              step_through(cmd(CommandKind.STORE, "001|010|100")).status,
+              ran.run(cmd(CommandKind.STORE, "010|010|100")).status]
+    assert failed[0] is failed[1] is failed[2]
+    assert failed[0].outcome is Outcome.STORE_FAILED and failed[0].error and failed[0].full
+    assert ran.run(reset).status is step_through(reset).status is not first
+
+
+def test_clear_reset_store_delete_build_no_bits(monkeypatch):
+    """Once each kind has run, CLEAR, RESET, STORE and DELETE build no Bits:
+    their masks, zero outputs and status values are all shared."""
+    system = make_system(capacity=8)
+    config = system.config
+    for rec in fuzz_records(config.layout, 200, seed=5):
+        system.run(record_to_command(rec, config.layout))
+    commands = [cmd(CommandKind.CLEAR, "000|000|000"), cmd(CommandKind.RESET, "111|111|111"),
+                cmd(CommandKind.STORE, "001|010|100"), cmd(CommandKind.STORE, "001|010|100"),
+                cmd(CommandKind.DELETE, "001|010|100"), cmd(CommandKind.DELETE, "001|010|100")]
+    built = 0
+    original = Bits.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(Bits, "__post_init__", counted)
+    outcomes = [system.run(c).outcome for c in commands]
+    assert built == 0
+    assert outcomes == [Outcome.SUCCESS, Outcome.SUCCESS, Outcome.SUCCESS,
+                        Outcome.STORE_FAILED, Outcome.SUCCESS, Outcome.DELETE_FAILED]
+
 
 # --- status ------------------------------------------------------------------------
 

@@ -81,6 +81,13 @@ def test_record_to_command_rejects_both_feature_forms():
         record_to_command(rec, layout)
 
 
+def test_record_to_command_rejects_unknown_op():
+    # records built directly, not parsed, can carry any op
+    with pytest.raises(ValueError, match="BOGUS") as excinfo:
+        record_to_command(TraceRecord(op="BOGUS"), SdrLayout(4, 4, 4))
+    assert not isinstance(excinfo.value, ParseError)
+
+
 def test_config_round_trip():
     from nertcam import NertcamConfig, PaddingMode
     config = NertcamConfig(layout=SdrLayout(128, 25, 10), capacity=512,
