@@ -9,7 +9,6 @@ triple means the prediction failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .preprocess import CommandKind
 from .rtcam import MemoryArray
@@ -28,12 +27,15 @@ class PredictionOutput:
         return self.features.is_zero and self.locations.is_zero and self.classes.is_zero
 
 
-@cache
 def zero_output(layout: SdrLayout) -> PredictionOutput:
-    """The all-zero triple of a layout, built once and shared."""
-    return PredictionOutput(Bits.zeros(layout.feature_bits),
-                            Bits.zeros(layout.location_bits),
-                            Bits.zeros(layout.class_bits))
+    """The all-zero triple of a layout, built on first use and kept in
+    layout.shared."""
+    zero = layout.shared.get(zero_output)
+    if zero is None:
+        zero = layout.shared[zero_output] = PredictionOutput(
+            Bits.zeros(layout.feature_bits), Bits.zeros(layout.location_bits),
+            Bits.zeros(layout.class_bits))
+    return zero
 
 
 def condense(matched: int | None, kind: CommandKind,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 
 from .sdr import Bits, LayoutError, SdrLayout
 
@@ -167,24 +166,26 @@ def padding_window(location: Bits, padding: int, mode: PaddingMode = LINEAR_1D) 
     return Bits(_window(location.value, location.width, padding, mode), location.width)
 
 
-@cache
 def _masks(layout: SdrLayout) -> dict[CommandKind, Bits]:
     """Each kind's DC mask at zero padding; four distinct values per layout,
-    built once and shared by every command."""
-    l, c = layout.location_bits, layout.class_bits
-    total = layout.total
-    none = Bits(0, total)
-    classes = (1 << c) - 1
-    return {
-        CommandKind.CLEAR: none,
-        CommandKind.RESET: none,
-        CommandKind.STORE: none,
-        CommandKind.DELETE: none,
-        CommandKind.INFER: Bits(classes, total),
-        # the whole feature section, and the class section
-        CommandKind.PREDICT_FEATURE: Bits((1 << total) - (1 << (l + c)) | classes, total),
-        CommandKind.PREDICT_LOCATION: Bits((1 << (l + c)) - 1, total),
-    }
+    built on first use and kept in layout.shared for every command."""
+    masks = layout.shared.get(_masks)
+    if masks is None:
+        l, c = layout.location_bits, layout.class_bits
+        total = layout.total
+        none = Bits(0, total)
+        classes = (1 << c) - 1
+        masks = layout.shared[_masks] = {
+            CommandKind.CLEAR: none,
+            CommandKind.RESET: none,
+            CommandKind.STORE: none,
+            CommandKind.DELETE: none,
+            CommandKind.INFER: Bits(classes, total),
+            # the whole feature section, and the class section
+            CommandKind.PREDICT_FEATURE: Bits((1 << total) - (1 << (l + c)) | classes, total),
+            CommandKind.PREDICT_LOCATION: Bits((1 << (l + c)) - 1, total),
+        }
+    return masks
 
 
 def build_dc(cmd: MacroCommand, layout: SdrLayout,

@@ -11,10 +11,19 @@ The array is held bit-sliced, as the match lines of CAM hardware see it:
 besides each row's triplet value it keeps one row bitmap per bit position
 (bit i set when row i holds a 1 there), and the valid and occupied bits as
 row bitmaps. A lookup ANDs together the columns of the query's cared
-positions, and a validate ORs the class columns of the classes it keeps,
-so every micro-op costs a number of big-integer operations that
-grows with the layout width, not with the row count. Each such operation
-still touches one bit per row.
+1-positions, then drops the candidates that hold a 1 at a cared
+0-position, and a validate ORs the class columns of the classes it keeps.
+Each such operation on a row bitmap touches one bit per row.
+
+Two kinds of step walk a set of rows instead: dropping candidates by
+checking their rows, and validate's union of the valid rows' classes.
+A walk takes the highest set bit each time, and it is budgeted: past a
+quarter of the cared 0-positions, or past class_bits rows, the column OR
+takes over. Candidates that no cared 1-position narrowed skip the walk.
+So a micro-op costs a number of big-integer operations set by the layout
+width, not by the row count. The read path applies no popcount, negation
+or complement to a row bitmap: in CPython each of these runs over every
+digit of the bitmap, and the last two build a new one as well.
 
 Six single-cycle micro-ops drive the array: clear, reset, store, delete,
 lookup, validate. Sequencing between them belongs to the controller, not
@@ -96,22 +105,26 @@ class MemoryArray:
         valid bit), and its triplet equals the query at every position the
         mask does not cover. Returns (match row bitmap, OR-reduce).
         """
-        self.layout.check_width(query)
-        self.layout.check_width(dc)
+        layout = self.layout
+        layout.check_width(query)
+        layout.check_width(dc)
         q = query.value
-        care = ((1 << self.layout.total) - 1) & ~dc.value
+        care = ((1 << layout.total) - 1) ^ dc.value
         match = self.occupied
         if scope is not LookupScope.ALL:
             match &= self.valid
         cols = self._cols
-        for k, _ in _low_bits(q & care):
+        ones = q & care
+        narrowed = ones != 0
+        while ones and match:  # AND the cared 1-positions' columns, highest first
+            k = ones.bit_length() - 1
             match &= cols[k]
-            if not match:
-                break
-        zeros = care & ~q
+            ones ^= 1 << k
+        zeros = care ^ (care & q)
         if match and zeros:
-            # both drops are exact; pick the one with fewer big-int ops
-            if match.bit_count() <= zeros.bit_count():
+            # with no cared 1-position, as in a padded PREDICT_FEATURE, the
+            # candidates are every row in scope: too many to check one by one
+            if narrowed:
                 match = self._drop_by_rows(match, zeros)
             else:
                 match = self._drop_by_columns(match, zeros)
@@ -121,23 +134,40 @@ class MemoryArray:
         return match, any_hit
 
     def _drop_by_rows(self, match: int, zeros: int) -> int:
-        """Clear each candidate row that holds a 1 where zeros is set."""
+        """Clear each candidate row that holds a 1 where zeros is set.
+
+        Checks the candidates' rows, highest index first. A row check costs
+        about as much as ORing one column, so after as many checks as a
+        quarter of the positions in zeros, _drop_by_columns finishes the
+        job: few candidates cost few checks, and many waste at most a
+        quarter of the column OR.
+        """
         rows = self.rows
-        for i, low in _low_bits(match):
+        budget = zeros.bit_count() >> 2
+        left = match
+        while left and budget:
+            budget -= 1
+            i = left.bit_length() - 1
+            row = 1 << i
+            left ^= row
             if rows[i] & zeros:
-                match ^= low
+                match ^= row
+        if left:
+            return self._drop_by_columns(match, zeros)
         return match
 
     def _drop_by_columns(self, match: int, zeros: int) -> int:
         """Clear each candidate row that holds a 1 where zeros is set."""
-        return match & ~self._any_column(zeros)
+        return match ^ (match & self._any_column(zeros))
 
     def _any_column(self, positions: int) -> int:
         """Row bitmap of the rows holding a 1 at some position set in positions."""
         rows = 0
         cols = self._cols
-        for k, _ in _low_bits(positions):
+        while positions:
+            k = positions.bit_length() - 1
             rows |= cols[k]
+            positions ^= 1 << k
         return rows
 
     def micro_validate(self) -> Bits:
@@ -145,13 +175,28 @@ class MemoryArray:
 
         Unions the class sections of the currently valid rows, then re-marks
         as valid exactly the non-empty rows whose class section meets that
-        union.
+        union. The union ORs the rows themselves when there are at most
+        class_bits of them, and the class columns otherwise.
         """
-        # the class section is the lowest, so column k is class bit k
-        union = self.or_rows(self.valid & self.occupied, 0, self.layout.class_bits)
+        c = self.layout.class_bits
+        live = self.valid & self.occupied
+        rows = self.rows
+        union = 0
+        budget = c
+        left = live
+        while left and budget:
+            budget -= 1
+            i = left.bit_length() - 1
+            union |= rows[i]
+            left ^= 1 << i
+        if left:
+            # the class section is the lowest, so column k is class bit k
+            union = self.or_rows(live, 0, c)
+        else:
+            union &= (1 << c) - 1
         self.valid = self.occupied & self._any_column(union)
         self.valid_entry = self.valid != 0
-        return Bits(union, self.layout.class_bits)
+        return Bits(union, c)
 
     def micro_store(self, triplet: Bits) -> int | None:
         """Write the triplet into the lowest-index empty row.
@@ -197,11 +242,10 @@ class MemoryArray:
         Only value bits lo to hi - 1 (least significant first; hi defaults
         to the layout width) are ORed, and the result is shifted down by lo.
         """
-        value = 0
-        for k, col in enumerate(self._cols[lo:hi]):
-            if col & rows:
-                value |= 1 << k
-        return value
+        # one character per column, lowest first: with a cold cache, the
+        # columns read in ascending order measured faster than descending
+        bits = ["1" if col & rows else "0" for col in self._cols[lo:hi]]
+        return int("".join(bits)[::-1], 2) if bits else 0
 
     # --- memory-image text format ----------------------------------------
 

@@ -129,6 +129,10 @@ def concat(*parts: Bits) -> Bits:
     return Bits(value, width)
 
 
+#: SdrLayout.shared's dict of each layout value
+_SHARED: dict[SdrLayout, dict] = {}
+
+
 @dataclass(frozen=True)
 class SdrLayout:
     """Section widths of an SDR: feature | location | class, in that order."""
@@ -147,6 +151,13 @@ class SdrLayout:
         # computed on first read and kept in the instance; not a field, so
         # == and hash still see only the three widths
         return self.feature_bits + self.location_bits + self.class_bits
+
+    @cached_property
+    def shared(self) -> dict:
+        """Constants other blocks build once per layout value, such as the DC
+        masks, keyed by the function that builds them. Equal layouts share
+        one dict; only the first read on an instance hashes the layout."""
+        return _SHARED.setdefault(self, {})
 
     def check_width(self, bits: Bits) -> None:
         if bits.width != self.total:

@@ -87,7 +87,8 @@ class StatusOut:
 class CycleTrace(NamedTuple):
     """One clock cycle of controller activity, for trace output.
 
-    A named tuple, not a dataclass: step() builds one every cycle.
+    A named tuple, not a dataclass: step() builds one every cycle, through
+    tuple.__new__ rather than the generated Python-level __new__.
     """
 
     cycle: int
@@ -116,6 +117,9 @@ class Completion:
     outcome: Outcome | None = None
     classes: Bits | None = None
     matched: int | None = None
+
+
+_tuple_new = tuple.__new__
 
 
 class Controller:
@@ -157,8 +161,8 @@ class Controller:
             micro = self._step_ir(p)
         else:
             micro = self._step_sl(p)
-        return CycleTrace(self.cycle_count, before, self.state, micro,
-                          self.memory.valid_entry, p.outcome)
+        return _tuple_new(CycleTrace, (self.cycle_count, before, self.state, micro,
+                                       self.memory.valid_entry, p.outcome))
 
     # --- per-state actions -------------------------------------------------
 

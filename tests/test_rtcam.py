@@ -186,6 +186,137 @@ def test_lookup_matches_predicates_row_by_row(monkeypatch):
     assert paths["_drop_by_rows"] > 0 and paths["_drop_by_columns"] > 0
 
 
+def _edge_rows(rng, capacity, count):
+    """Row bitmap of count rows, drawn from both ends of the array and between."""
+    ends = [*range(4), *range(capacity - 4, capacity)]
+    picked = rng.sample(ends, min(count, len(ends)))
+    picked += rng.sample(range(4, capacity - 4), max(0, count - len(picked)))
+    return sum(1 << i for i in picked)
+
+
+def test_read_paths_match_predicates_over_many_digits(monkeypatch):
+    """Row bitmaps of hundreds of rows span many 30-bit digits of a Python
+    int. Every drop path of a lookup (row checks alone, row checks that
+    run out of budget and hand over to the column OR, the column OR
+    alone, with or without a cared 1-position) and both ways validate
+    builds its class union agree with the predicates row by row, for
+    candidates at low and high row indices."""
+    calls: list[str] = []
+    for name in ("_drop_by_rows", "_drop_by_columns"):
+        def spy(self, match, zeros, _name=name, _drop=getattr(MemoryArray, name)):
+            calls.append(_name)
+            return _drop(self, match, zeros)
+        monkeypatch.setattr(MemoryArray, name, spy)
+    or_rows = MemoryArray.or_rows
+
+    def or_rows_spy(self, *args):
+        calls.append("or_rows")
+        return or_rows(self, *args)
+    monkeypatch.setattr(MemoryArray, "or_rows", or_rows_spy)
+
+    layout = SdrLayout(16, 8, 4)
+    width = layout.total
+    ones = (1 << width) - 1
+    rng = random.Random(11)
+    seen = set()
+    for capacity in (300, 1000):
+        mem = MemoryArray(layout, capacity)
+        for _ in range(capacity):
+            mem.micro_store(Bits(rng.getrandbits(width), width))
+        # released rows keep their (dead) bits; the end rows stay live
+        mem.valid = sum(1 << i for i in rng.sample(range(4, capacity - 4), capacity // 10))
+        mem.micro_delete()
+        cases = []
+        for _ in range(80):
+            # few cared positions drop by columns at once; more let row
+            # checks run until the candidates or the budget run out
+            cases.append((_edge_rows(rng, capacity, rng.choice((1, 3, 4, 5, 40, capacity))),
+                          rng.choice(list(LookupScope)),
+                          rng.sample(range(width), rng.choice((2, 3, 6, 16, width))),
+                          rng.choice((0, rng.getrandbits(width), rng.choice(mem.rows)))))
+        # row checks that drop the first or the last row: it holds the one
+        # cared 1-position, and 1s at cared 0-positions
+        for end in (0, capacity - 1):
+            cases.append((_edge_rows(rng, capacity, 8), LookupScope.VALID_ONLY,
+                          range(width), 1 << (mem.rows[end].bit_length() - 1)))
+        for valid, scope, cared, query in cases:
+            dc = Bits(ones ^ sum(1 << k for k in cared), width)
+            query = Bits(query, width)
+            mem.valid = valid
+            calls.clear()
+            match, hit = mem.micro_lookup(query, dc, scope)
+            expected = 0
+            candidates = 0  # in-scope rows holding every cared 1-position
+            cared_ones = query.value & ~dc.value
+            for i, row in enumerate(mem.rows):
+                in_scope = mem.occupied >> i & 1 and (
+                    scope is LookupScope.ALL or valid >> i & 1)
+                if in_scope and equality_match(Bits(row, width), query, dc):
+                    expected |= 1 << i
+                candidates += bool(in_scope and row & cared_ones == cared_ones)
+            assert match == expected == mem.valid
+            assert hit is (expected != 0)
+            # row checks are budgeted at a quarter of the cared 0-positions
+            budget = (len(cared) - cared_ones.bit_count()) // 4
+            if calls == ["_drop_by_rows"]:
+                assert candidates <= budget
+                seen.add("rows")
+            elif calls == ["_drop_by_columns"]:
+                # no cared 1-position narrowed the candidates
+                assert not cared_ones
+                seen.add("columns, not narrowed")
+            elif calls:
+                assert calls == ["_drop_by_rows", "_drop_by_columns"] and cared_ones
+                assert candidates > budget
+                seen.add("handover" if budget else "columns at once")
+
+            mem.valid = valid
+            calls.clear()
+            classes = mem.micro_validate()
+            live = [i for i in range(capacity) if mem.occupied >> i & 1 and valid >> i & 1]
+            union = 0
+            for k in range(layout.class_bits):
+                query, dc = Bits(1 << k, width), Bits(ones ^ 1 << k, width)
+                if any(membership_match(Bits(mem.rows[i], width), query, dc) for i in live):
+                    union |= 1 << k
+            assert classes == Bits(union, layout.class_bits)
+            query, dc = Bits(union, width), Bits(ones ^ union, width)
+            closed = 0
+            for i, row in enumerate(mem.rows):
+                if mem.occupied >> i & 1 and membership_match(Bits(row, width), query, dc):
+                    closed |= 1 << i
+            assert mem.valid == closed
+            assert mem.valid_entry is (closed != 0)
+            # the rows themselves are ORed up to class_bits of them
+            assert calls == (["or_rows"] if len(live) > layout.class_bits else [])
+            seen.add("union by columns" if calls else "union by rows")
+    assert seen == {"rows", "handover", "columns at once", "columns, not narrowed",
+                    "union by rows", "union by columns"}
+
+
+def test_or_rows_matches_row_by_row_or_over_many_digits():
+    """or_rows over every section and range, the empty one and the top one
+    among them, equals OR-ing the chosen rows' bits one row at a time."""
+    layout = SdrLayout(16, 8, 4)
+    width = layout.total
+    rng = random.Random(3)
+    capacity = 700
+    mem = MemoryArray(layout, capacity)
+    for _ in range(capacity):
+        mem.micro_store(Bits(rng.getrandbits(width) & rng.getrandbits(width), width))
+    top = layout.location_bits + layout.class_bits
+    ranges = [(0, None), (0, layout.class_bits), (layout.class_bits, top), (top, None),
+              (top, width), (5, 5), (width, None), (0, 0)]
+    for count in (0, 1, 2, 7, 100, capacity):
+        rows = _edge_rows(rng, capacity, count)
+        for lo, hi in ranges:
+            span = (width if hi is None else hi) - lo
+            expected = 0
+            for i in rows_of(rows):
+                expected |= mem.rows[i] >> lo & ((1 << span) - 1)
+            assert mem.or_rows(rows, lo, hi) == expected
+
+
 # --- validate ----------------------------------------------------------------------
 
 

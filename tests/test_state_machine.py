@@ -4,7 +4,7 @@ and the error taxonomy."""
 import pytest
 
 from nertcam import (Bits, CommandKind, Controller, ControllerState,
-                     MemoryArray, Outcome, SdrLayout)
+                     CycleTrace, MemoryArray, Outcome, SdrLayout)
 
 L333 = SdrLayout(3, 3, 3)
 ZERO_DC = Bits.zeros(9)
@@ -255,3 +255,5 @@ def test_cycle_trace_is_a_named_tuple_of_the_cycle_fields():
                        Outcome.SUCCESS)]
     assert traces[0]._fields == ("cycle", "state_from", "state_to", "micro_op",
                                  "valid_entry", "outcome")
+    assert type(traces[0]) is CycleTrace
+    assert (traces[0].micro_op, traces[0].outcome) == ("reset", Outcome.SUCCESS)

@@ -235,6 +235,31 @@ def test_construction_builds_no_bits(monkeypatch):
     assert built == 0
 
 
+def test_commands_hash_no_layout(monkeypatch):
+    """The DC masks and the zero output are kept in the layout instance, so
+    once built they are read without hashing the layout."""
+    system = make_system()
+    commands = [cmd(CommandKind.STORE, "001|010|100"), cmd(CommandKind.INFER, "001|010|000"),
+                cmd(CommandKind.PREDICT_FEATURE, "000|010|000", padding=1),
+                cmd(CommandKind.PREDICT_LOCATION, "001|000|000"),
+                cmd(CommandKind.DELETE, "001|010|100"), cmd(CommandKind.RESET, "000|000|000")]
+    system.run(commands[0])  # the first command builds the shared values
+    hashed = 0
+    original = SdrLayout.__hash__
+
+    def counted(self):
+        nonlocal hashed
+        hashed += 1
+        return original(self)
+
+    monkeypatch.setattr(SdrLayout, "__hash__", counted)
+    for command in commands:
+        system.run(command)
+    assert hashed == 0
+    # equal layouts still hash and compare alike
+    assert hash(SdrLayout(3, 3, 3)) == hash(L333) and SdrLayout(3, 3, 3) == L333
+
+
 def test_non_predict_commands_share_one_zero_output():
     system = make_system()
     other = make_system()
