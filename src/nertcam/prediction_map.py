@@ -15,7 +15,7 @@ from .rtcam import MemoryArray
 from .sdr import Bits, SdrLayout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionOutput:
     features: Bits
     locations: Bits

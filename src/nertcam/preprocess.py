@@ -37,7 +37,7 @@ class CommandKind(str, Enum):
     PREDICT_LOCATION = "PREDICT_LOCATION"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacroCommand:
     """One agent command: kind, input SDR, and location-padding amount."""
 
@@ -113,21 +113,40 @@ def validate_command(cmd: MacroCommand, layout: SdrLayout,
     CLEAR and RESET discard the input, so any bit pattern passes. The k-hot
     flag relaxes only the feature section (any nonzero pattern, matched by
     exact equality); locations and classes stay strictly one-hot.
+
+    All three sections are tested in one pass; only a command that fails
+    it goes through _check_section, section by section, for the error.
     """
-    layout.check_width(cmd.sdr)
+    sdr = cmd.sdr
+    if sdr.width != layout.total:
+        layout.check_width(sdr)
     kind = cmd.kind
-    if cmd.padding < 0:
-        raise InputError(f"padding must be non-negative, got {cmd.padding}")
-    if cmd.padding and kind is not _PREDICT_FEATURE:
-        raise InputError(f"padding is only accepted on PREDICT_FEATURE, not {kind.value}")
+    padding = cmd.padding
+    if padding:
+        if padding < 0:
+            raise InputError(f"padding must be non-negative, got {padding}")
+        if kind is not _PREDICT_FEATURE:
+            raise InputError(f"padding is only accepted on PREDICT_FEATURE, not {kind.value}")
     shape = _SHAPES.get(kind)
     if shape is None:
         return
+    rf, rl, rc = shape
     f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
-    value = cmd.sdr.value
-    _check_section(shape[0], value >> (l + c), f, "feature", khot_features)
-    _check_section(shape[1], (value >> c) & ((1 << l) - 1), l, "location", khot_features)
-    _check_section(shape[2], value & ((1 << c) - 1), c, "class", khot_features)
+    value = sdr.value
+    feature = value >> (l + c)
+    location = (value >> c) & ((1 << l) - 1)
+    class_ = value & ((1 << c) - 1)
+    # each term is _check_section's rule as a boolean
+    if ((not feature if rf is _ZERO else feature and (
+            khot_features and rf is _FEATURE or not feature & (feature - 1)))
+            and (not location if rl is _ZERO else location and (
+                khot_features and rl is _FEATURE or not location & (location - 1)))
+            and (not class_ if rc is _ZERO else class_ and (
+                khot_features and rc is _FEATURE or not class_ & (class_ - 1)))):
+        return
+    _check_section(rf, feature, f, "feature", khot_features)
+    _check_section(rl, location, l, "location", khot_features)
+    _check_section(rc, class_, c, "class", khot_features)
 
 
 def _window(location: int, width: int, padding: int, mode: PaddingMode) -> int:

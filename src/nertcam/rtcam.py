@@ -15,15 +15,19 @@ row bitmaps. A lookup ANDs together the columns of the query's cared
 0-position, and a validate ORs the class columns of the classes it keeps.
 Each such operation on a row bitmap touches one bit per row.
 
-Two kinds of step walk a set of rows instead: dropping candidates by
-checking their rows, and validate's union of the valid rows' classes.
-A walk takes the highest set bit each time, and it is budgeted: past a
-quarter of the cared 0-positions, or past class_bits rows, the column OR
-takes over. Candidates that no cared 1-position narrowed skip the walk.
-So a micro-op costs a number of big-integer operations set by the layout
-width, not by the row count. The read path applies no popcount, negation
-or complement to a row bitmap: in CPython each of these runs over every
-digit of the bitmap, and the last two build a new one as well.
+Three kinds of step walk a set of rows instead: dropping candidates by
+checking their rows, validate's union of the valid rows' classes, and
+or_rows on a few rows. A walk takes the highest set bit each time, and
+it is bounded: past a quarter of the cared 0-positions, or past
+class_bits rows, the column OR takes over, and or_rows walks only a
+bitmap of at most half as many rows as the columns it would scan.
+Candidates that no cared 1-position narrowed skip the walk. So a
+micro-op costs a number of big-integer operations set by the layout
+width, not by the row count. Lookup and validate apply no popcount,
+negation or complement to a row bitmap: in CPython each of these runs
+over every digit of the bitmap, and the last two build a new one as
+well. Called from condense, or_rows takes one popcount, and only to
+choose between the row walk and the column scan.
 
 Six single-cycle micro-ops drive the array: clear, reset, store, delete,
 lookup, validate. Sequencing between them belongs to the controller, not
@@ -41,14 +45,6 @@ class LookupScope(Enum):
     """Row population a lookup considers: previously-valid rows, or all rows."""
     VALID_ONLY = "valid_only"
     ALL = "all"
-
-
-def _low_bits(value: int):
-    """Yield (index, single-bit mask) for each set bit, lowest first."""
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1, low
-        value ^= low
 
 
 class MemoryArray:
@@ -106,10 +102,12 @@ class MemoryArray:
         mask does not cover. Returns (match row bitmap, OR-reduce).
         """
         layout = self.layout
-        layout.check_width(query)
-        layout.check_width(dc)
+        total = layout.total
+        if query.width != total or dc.width != total:
+            layout.check_width(query)
+            layout.check_width(dc)
         q = query.value
-        care = ((1 << layout.total) - 1) ^ dc.value
+        care = ((1 << total) - 1) ^ dc.value
         match = self.occupied
         if scope is not LookupScope.ALL:
             match &= self.valid
@@ -190,8 +188,9 @@ class MemoryArray:
             union |= rows[i]
             left ^= 1 << i
         if left:
-            # the class section is the lowest, so column k is class bit k
-            union = self.or_rows(live, 0, c)
+            # the class section is the lowest, so column k is class bit k;
+            # more than c rows are live, so or_rows need not count them
+            union = self.or_rows(live, 0, c, False)
         else:
             union &= (1 << c) - 1
         self.valid = self.occupied & self._any_column(union)
@@ -205,16 +204,22 @@ class MemoryArray:
         is full and unchanged). The caller must have established there is
         no exact duplicate first.
         """
-        self.layout.check_width(triplet)
+        layout = self.layout
+        if triplet.width != layout.total:
+            layout.check_width(triplet)
         free = self._all_rows ^ self.occupied
         if not free:
             return None
         row = free & -free
         i = row.bit_length() - 1
         cols = self._cols
-        for k, _ in _low_bits(self.rows[i] ^ triplet.value):
+        value = triplet.value
+        changed = self.rows[i] ^ value
+        while changed:  # flip the columns where old and new row differ
+            k = changed.bit_length() - 1
             cols[k] ^= row
-        self.rows[i] = triplet.value
+            changed ^= 1 << k
+        self.rows[i] = value
         self.occupied |= row
         self.valid |= row
         return i
@@ -236,12 +241,26 @@ class MemoryArray:
         """Valid, non-empty rows as a bitmap: after a lookup, the rows it matched."""
         return self.valid & self.occupied
 
-    def or_rows(self, rows: int, lo: int = 0, hi: int | None = None) -> int:
+    def or_rows(self, rows: int, lo: int = 0, hi: int | None = None,
+                walk: bool = True) -> int:
         """OR of the triplet values of the rows set in a row bitmap.
 
         Only value bits lo to hi - 1 (least significant first; hi defaults
         to the layout width) are ORed, and the result is shifted down by lo.
+        Up to half as many rows as columns are ORed row by row, highest
+        first; more rows, or walk=False, scan the columns instead. Choosing
+        costs one popcount of the bitmap, which walk=False skips.
         """
+        if hi is None:
+            hi = self.layout.total
+        if walk and rows.bit_count() * 2 <= hi - lo:
+            table = self.rows
+            value = 0
+            while rows:
+                i = rows.bit_length() - 1
+                value |= table[i]
+                rows ^= 1 << i
+            return (value >> lo) & ((1 << (hi - lo)) - 1)
         # one character per column, lowest first: with a cold cache, the
         # columns read in ascending order measured faster than descending
         bits = ["1" if col & rows else "0" for col in self._cols[lo:hi]]
@@ -324,7 +343,9 @@ class MemoryArray:
         columns = [bytearray((len(rows) + 7) // 8) for _ in range(layout.total)]
         for i, value in enumerate(rows):
             byte, bit = i >> 3, 1 << (i & 7)
-            for k, _ in _low_bits(value):
+            while value:
+                k = value.bit_length() - 1
                 columns[k][byte] |= bit
+                value ^= 1 << k
         mem._cols = [int.from_bytes(column, "little") for column in columns]
         return mem

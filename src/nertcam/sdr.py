@@ -20,7 +20,7 @@ class LayoutError(ValueError):
     """Width or section-layout violation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bits:
     """A value-semantic bit string of fixed width.
 
@@ -179,11 +179,20 @@ class SdrLayout:
 
         A k-hot feature section may be passed as Bits of the feature width.
         """
-        l, c = self.location_bits, self.class_bits
-        return Bits(_section_value("feature", self.feature_bits, feature) << (l + c)
-                    | _section_value("location", l, location) << c
-                    | _section_value("class", c, class_),
-                    self.total)
+        # an in-range int index is set inline; _section_value takes a Bits
+        # feature and raises for an index outside its section
+        f, l, c = self.feature_bits, self.location_bits, self.class_bits
+        value = 0
+        if feature is not None:
+            value = (1 << (f - 1 - feature) if type(feature) is int and 0 <= feature < f
+                     else _section_value("feature", f, feature)) << (l + c)
+        if location is not None:
+            value |= (1 << (l - 1 - location) if type(location) is int and 0 <= location < l
+                      else _section_value("location", l, location)) << c
+        if class_ is not None:
+            value |= (1 << (c - 1 - class_) if type(class_) is int and 0 <= class_ < c
+                      else _section_value("class", c, class_))
+        return Bits(value, self.total)
 
     def parse(self, text: str) -> Bits:
         return Bits.parse(text, width=self.total)

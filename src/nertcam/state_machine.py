@@ -75,7 +75,7 @@ _INFER_FAILED = Outcome.INFER_FAILED
 _ALL, _VALID_ONLY = LookupScope.ALL, LookupScope.VALID_ONLY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatusOut:
     """Status signals reported back to the agent for one command."""
 
@@ -99,7 +99,7 @@ class CycleTrace(NamedTuple):
     outcome: Outcome | None
 
 
-@dataclass
+@dataclass(slots=True)
 class Completion:
     """One command's record, from accept() to the system facade.
 
@@ -139,7 +139,7 @@ class Controller:
 
     def accept(self, kind: CommandKind, query: Bits, dc: Bits) -> bool:
         """Arm a command. Rejected (no effect at all) unless idle in SS."""
-        if self.busy:
+        if self._pending is not None:
             return False
         self._pending = Completion(kind, query, dc)
         self.completion = None

@@ -11,6 +11,18 @@ command's cycles to total_cycles once it completes. Both paths hand the
 controller's completion to the Response through _respond(), so run()
 returns, and leaves behind, exactly what a manual submit() and step() loop
 would.
+
+The per-command path is kept lean, because with the array bit-sliced the
+Python calls around it cost more than the array operations. The value
+objects a command builds (Bits, MacroCommand, Completion, StatusOut,
+PredictionOutput, Response) are slotted dataclasses. validate_command
+tests all three sections in one boolean pass, and SdrLayout.triplet sets
+an int index inline; each calls a helper only to raise an error or to
+take a k-hot feature. Width checks compare inline and call check_width
+only to raise. run() and Controller.accept read the pending command
+directly, not through the busy property. Each layer stays one called
+function (validate_command, build_dc, Controller.step once per cycle,
+each micro-op and condense), so a traced run still sees every span.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ class ConfigError(ValueError):
 
 
 class BusyError(RuntimeError):
-    """run() was called while a command is still in flight."""
+    """run() or load_image() was called while a command is still in flight."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +74,7 @@ class NertcamConfig:
                 f"{self.layout.location_bits} location bits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Response:
     """Per-command result: status, k-hot outputs, and the cycle count."""
 
@@ -145,7 +157,7 @@ class System:
         """submit(), then one controller step per cycle until the command
         completes; returns the Response a manual step() loop would leave."""
         controller = self.controller
-        if controller.busy:
+        if controller._pending is not None:
             raise BusyError("run() requires an idle device")
         self.submit(cmd)
         while controller.completion is None:
@@ -180,7 +192,12 @@ class System:
         return self.memory.to_image()
 
     def load_image(self, text: str) -> None:
-        """Replace memory contents from an image; capacity must match."""
+        """Replace memory contents from an image; capacity must match.
+
+        Raises BusyError, and changes nothing, while a command is in flight.
+        """
+        if self.busy:
+            raise BusyError("load_image() requires an idle device")
         mem = MemoryArray.from_image(text, self.layout)
         if mem.capacity != self.config.capacity:
             raise ConfigError(

@@ -36,7 +36,7 @@ _OPTIONAL_FIELDS = {"feature", "feature_bits", "location", "class", "padding"}
 _OP_KINDS = {kind.value: kind for kind in CommandKind}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One replayable command with index-encoded sections."""
 

@@ -5,6 +5,7 @@ import pytest
 from nertcam import (Bits, CommandKind, InputError, LayoutError, MacroCommand,
                      PaddingMode, SdrLayout, build_dc, concat, equality_match,
                      padding_window, validate_command)
+from nertcam.preprocess import _SHAPES, _check_section
 
 
 
@@ -332,3 +333,41 @@ def test_preprocess_matches_section_reference_exhaustively(layout, grid):
                     for mode in modes:
                         assert (_outcome(build_dc, command, layout, mode)
                                 == _outcome(_ref_build_dc, command, layout, mode))
+
+
+def _ref_per_section(command, layout, khot_features):
+    """validate_command before its one-pass check: the width, the padding,
+    then _check_section on feature, location and class, in that order."""
+    layout.check_width(command.sdr)
+    if command.padding < 0:
+        raise InputError(f"padding must be non-negative, got {command.padding}")
+    if command.padding and command.kind is not CommandKind.PREDICT_FEATURE:
+        raise InputError(
+            f"padding is only accepted on PREDICT_FEATURE, not {command.kind.value}")
+    shape = _SHAPES.get(command.kind)
+    if shape is None:
+        return
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    value = command.sdr.value
+    _check_section(shape[0], value >> (l + c), f, "feature", khot_features)
+    _check_section(shape[1], (value >> c) & ((1 << l) - 1), l, "location", khot_features)
+    _check_section(shape[2], value & ((1 << c) - 1), c, "class", khot_features)
+
+
+def test_one_pass_check_matches_per_section_checks(layout333):
+    """Every 9-bit SDR (and SDRs one bit short or long), every kind, both
+    feature modes and padding -1, 0 and 1: the one-pass check accepts what
+    the per-section checks accept, and otherwise raises the same exception
+    with the same message, so the first failing section is still named."""
+    sdrs = [Bits(value, 9) for value in range(1 << 9)]
+    sdrs += [Bits(0b10010010, 8), Bits(0b1001001000, 10)]
+    seen = set()
+    for sdr in sdrs:
+        for kind in CommandKind:
+            for khot in (False, True):
+                for padding in (-1, 0, 1):
+                    command = MacroCommand(kind, sdr, padding=padding)
+                    got = _outcome(validate_command, command, layout333, khot)
+                    assert got == _outcome(_ref_per_section, command, layout333, khot)
+                    seen.add(got[0])
+    assert seen == {"ok", InputError, LayoutError}

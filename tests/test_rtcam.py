@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from nertcam import (Bits, LayoutError, LookupScope, MemoryArray,
-                     SdrLayout, concat, equality_match, membership_match)
+from nertcam import (Bits, CommandKind, LayoutError, LookupScope, MemoryArray,
+                     PredictionOutput, SdrLayout, concat, condense, equality_match,
+                     membership_match)
 
 
 def B(text):
@@ -315,6 +316,98 @@ def test_or_rows_matches_row_by_row_or_over_many_digits():
             for i in rows_of(rows):
                 expected |= mem.rows[i] >> lo & ((1 << span) - 1)
             assert mem.or_rows(rows, lo, hi) == expected
+
+
+class _ReadLog(list):
+    """A list that logs each read under one name, so that a test can tell
+    which of or_rows' branches ran: the walk reads rows, the scan _cols."""
+
+    def __init__(self, items, log, name):
+        super().__init__(items)
+        self.log = log
+        self.name = name
+
+    def __getitem__(self, key):
+        self.log.append(self.name)
+        return super().__getitem__(key)
+
+
+def _spied_memory(layout, capacity, rng):
+    """A memory of random rows, a tenth of them deleted (dead rows keep their
+    bits), with rows and _cols logging their reads; returns (memory, log)."""
+    width = layout.total
+    mem = MemoryArray(layout, capacity)
+    for _ in range(capacity):
+        mem.micro_store(Bits(rng.getrandbits(width), width))
+    mem.valid = sum(1 << i for i in rng.sample(range(capacity), capacity // 10))
+    mem.micro_delete()
+    log: list[str] = []
+    mem.rows = _ReadLog(mem.rows, log, "walk")
+    mem._cols = _ReadLog(mem._cols, log, "scan")
+    return mem, log
+
+
+def _branch(log):
+    return "scan" if "scan" in log else "walk"
+
+
+def test_or_rows_walks_few_rows_and_scans_many():
+    """or_rows ORs the rows themselves when the bitmap holds at most half as
+    many rows as the columns in range, and scans the columns otherwise or
+    when told not to walk. Each branch equals a row-by-row OR, dead rows
+    included, over every section, the whole row and empty ranges."""
+    layout = SdrLayout(16, 8, 4)
+    width = layout.total
+    c, lc = layout.class_bits, layout.location_bits + layout.class_bits
+    ranges = [(0, None), (0, c), (c, lc), (lc, None), (lc, width), (0, width),
+              (0, 0), (c, c), (width, width)]
+    rng = random.Random(17)
+    seen = set()
+    for capacity in (64, 1000):
+        mem, log = _spied_memory(layout, capacity, rng)
+        for count in (0, 1, 2, 3, 4, 5, 8, 9, 14, 15, 16, 40, capacity):
+            rows = _edge_rows(rng, capacity, count)
+            for lo, hi in ranges:
+                span = (width if hi is None else hi) - lo
+                expected = 0
+                for i in rows_of(rows):
+                    expected |= mem.rows[i] >> lo & ((1 << span) - 1)
+                for walk in (True, False):
+                    log.clear()
+                    assert mem.or_rows(rows, lo, hi, walk) == expected
+                    branch = _branch(log)
+                    assert branch == ("walk" if walk and count * 2 <= span else "scan")
+                    seen.add((branch, span > 0))
+    assert seen == {("walk", True), ("walk", False), ("scan", True), ("scan", False)}
+
+
+def test_condense_matches_row_by_row_on_both_sides_of_the_walk():
+    """condense gives the row-by-row OR of the matched rows' sections,
+    gated by kind, whether or_rows walks the rows or scans the columns."""
+    layout = SdrLayout(16, 8, 4)
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    rng = random.Random(23)
+    seen = set()
+    for capacity in (64, 1000):
+        mem, log = _spied_memory(layout, capacity, rng)
+        for count in (0, 1, 2, 3, 4, 5, 8, 9, 12, 13, 30, capacity):
+            matched = _edge_rows(rng, capacity, count)
+            value = 0
+            for i in rows_of(matched):
+                value |= mem.rows[i]
+            features = Bits(value >> (l + c), f)
+            locations = Bits(value >> c & ((1 << l) - 1), l)
+            classes = Bits(value & ((1 << c) - 1), c)
+            log.clear()
+            out = condense(matched, CommandKind.PREDICT_FEATURE, mem)
+            assert out == PredictionOutput(features, Bits.zeros(l), classes)
+            seen.add(("feature", _branch(log)))
+            log.clear()
+            out = condense(matched, CommandKind.PREDICT_LOCATION, mem)
+            assert out == PredictionOutput(Bits.zeros(f), locations, classes)
+            seen.add(("location", _branch(log)))
+    assert seen == {(kind, branch) for kind in ("feature", "location")
+                    for branch in ("walk", "scan")}
 
 
 # --- validate ----------------------------------------------------------------------

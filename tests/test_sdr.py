@@ -10,6 +10,7 @@ import pytest
 
 from nertcam import (Bits, LayoutError, SdrLayout, concat, equality_match,
                      is_one_hot, membership_match)
+from nertcam.sdr import _section_value
 
 
 def brute_equality(stored: str, query: str, dc: str) -> bool:
@@ -136,6 +137,50 @@ def test_triplet_from_hot_indices(layout333):
 def test_triplet_index_range(layout333, args, message):
     with pytest.raises(LayoutError, match=message):
         layout333.triplet(*args)
+
+
+def _ref_triplet(layout, feature=None, location=None, class_=None):
+    """SdrLayout.triplet with every section through _section_value."""
+    l, c = layout.location_bits, layout.class_bits
+    return Bits(_section_value("feature", layout.feature_bits, feature) << (l + c)
+                | _section_value("location", l, location) << c
+                | _section_value("class", c, class_),
+                layout.total)
+
+
+def _result(fn, *args):
+    """What a call gives: ("ok", result) or ("raises", message)."""
+    try:
+        return "ok", fn(*args)
+    except LayoutError as exc:
+        return "raises", str(exc)
+
+
+def test_inline_triplet_matches_section_value_path():
+    """Every in-range index of every section, a missing section and a k-hot
+    feature give the _section_value path's SDR; -1, the section width and a
+    wrong-width feature raise its LayoutError, first section first."""
+    layout = SdrLayout(4, 3, 5)
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    features = [None, *range(f), B("1011"), B("0000")]
+    for feature in features:
+        for location in (None, *range(l)):
+            for class_ in (None, *range(c)):
+                args = (feature, location, class_)
+                got = layout.triplet(*args)
+                assert got == _ref_triplet(layout, *args)
+                assert type(got) is Bits
+    bad = {"feature": (-1, f, B("101"), B("10110")), "location": (-1, l), "class": (-1, c)}
+    for section, values in bad.items():
+        for value in values:
+            for others in (0, None, -1):
+                args = {"feature": others, "location": others, "class_": others}
+                args["class_" if section == "class" else section] = value
+                got = _result(layout.triplet, args["feature"], args["location"],
+                              args["class_"])
+                assert got[0] == "raises"
+                assert got == _result(_ref_triplet, layout, args["feature"],
+                                      args["location"], args["class_"])
 
 
 def test_pretty(layout333):

@@ -1,15 +1,18 @@
 """Device facade: submit/step/run, status signals, cycle accounting, and the
 end-to-end identification behavior."""
 
+import dataclasses
 import random
 
 import pytest
 
 from nertcam import (Bits, BusyError, CommandKind, ConfigError, Controller,
                      InputError, MacroCommand, NertcamConfig, Outcome,
-                     PaddingMode, SdrLayout, System)
+                     PaddingMode, PredictionOutput, Response, SdrLayout,
+                     StatusOut, System)
 from nertcam.cli import fuzz_records
-from nertcam.traces import record_to_command
+from nertcam.state_machine import Completion
+from nertcam.traces import TraceRecord, record_to_command
 
 
 L333 = SdrLayout(3, 3, 3)
@@ -321,6 +324,45 @@ def test_clear_reset_store_delete_build_no_bits(monkeypatch):
                         Outcome.STORE_FAILED, Outcome.SUCCESS, Outcome.DELETE_FAILED]
 
 
+def _value_objects(x):
+    """One of each slotted per-command value object; x (0 or 1) sets one field."""
+    bits = Bits.parse("001010100")
+    status = StatusOut(Outcome.SUCCESS, False, False)
+    prediction = PredictionOutput(Bits.zeros(3), Bits.zeros(3), Bits.parse("100"))
+    return [Bits(0b001010100 ^ x, 9),
+            MacroCommand(CommandKind.STORE, L333.triplet(2, 1, 0), padding=x),
+            StatusOut(Outcome.SUCCESS, False, bool(x)),
+            PredictionOutput(Bits(0, 3), Bits(x, 3), Bits(0b100, 3)),
+            Response(status, prediction, 2 + x),
+            TraceRecord(op="STORE", feature=2, location=1, class_=0, line=x),
+            Completion(CommandKind.INFER, bits, Bits.zeros(9), cycles=2 + x)]
+
+
+def test_value_objects_are_slotted_and_keep_their_semantics():
+    """The per-command value objects hold no __dict__. Frozen ones still
+    refuse assignment to a field; == and hash still see exactly the fields."""
+    for obj, twin, other in zip(_value_objects(0), _value_objects(0), _value_objects(1)):
+        cls = type(obj)
+        names = [f.name for f in dataclasses.fields(obj)]
+        values = tuple(getattr(obj, name) for name in names)
+        assert not hasattr(obj, "__dict__")
+        assert cls.__slots__ == tuple(names)
+        assert obj == twin and obj is not twin and obj != other
+        if cls.__dataclass_params__.frozen:
+            assert hash(obj) == hash(twin) == hash(values)
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, None)
+        else:  # Completion is mutable and, like a plain dataclass, unhashable
+            with pytest.raises(TypeError):
+                hash(obj)
+        # no attribute outside the fields can be added (a frozen class's
+        # generated __setattr__ raises TypeError here on some versions)
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = None
+        assert tuple(getattr(obj, name) for name in names) == values
+
+
 # --- status ------------------------------------------------------------------------
 
 
@@ -460,6 +502,30 @@ def test_image_save_load_round_trip():
     assert other.save_image() == image
     resp = other.run(cmd(CommandKind.INFER, "001|010|000"))
     assert str(resp.classes) == "100"
+
+
+def test_load_image_mid_command_raises_and_changes_nothing():
+    """A command in flight keeps its controller: load_image raises BusyError,
+    as run() does, and the command still completes with its Response."""
+    system = make_system()
+    store(system, "001|010|100")
+    image = make_system().save_image()
+    system.submit(cmd(CommandKind.STORE, "010|100|010"))
+    system.step()
+    memory, controller = system.memory, system.controller
+    before = (system.save_image(), system.total_cycles, controller.state,
+              controller.cycle_count)
+    with pytest.raises(BusyError):
+        system.load_image(image)
+    assert system.memory is memory and system.controller is controller
+    assert (system.save_image(), system.total_cycles, controller.state,
+            controller.cycle_count) == before
+    while system.busy:
+        system.step()
+    assert system.response.outcome is Outcome.SUCCESS and system.response.cycles == 3
+    assert system.memory.occupancy == 2 and system.total_cycles == 6
+    system.load_image(image)  # idle again: the image loads
+    assert system.memory.occupancy == 0
 
 
 def test_image_capacity_mismatch_is_rejected():
