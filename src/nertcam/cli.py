@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .oracle import AbstractResponse, Oracle
-from .preprocess import CommandKind, InputError, MacroCommand, PaddingMode
+from .preprocess import (_SHAPES, _ZERO, LINEAR_1D, CommandKind, InputError,
+                         MacroCommand, PaddingMode)
 from .rtcam import LookupScope
 from .sdr import Bits, LayoutError, SdrLayout
 from .state_machine import Outcome
@@ -78,6 +79,8 @@ def generate_dataset(classes: int, grid: tuple[int, int], feature_pool: int,
     if feature_pool > layout.feature_bits:
         raise ValueError(f"feature pool {feature_pool} exceeds "
                          f"{layout.feature_bits} feature bits")
+    if classes < 1:
+        raise ValueError(f"classes must be >= 1, got {classes}")
     if classes > layout.class_bits:
         raise ValueError(f"{classes} classes exceed {layout.class_bits} class bits")
     if not 1 <= samples <= feature_pool:
@@ -148,22 +151,37 @@ class ReplaySummary:
         }
 
 
+def _view(resp: Response) -> dict[str, object]:
+    """A Response's outputs as report values; the oracle's have the same keys."""
+    prediction = resp.prediction
+    return {"outcome": resp.outcome.value,
+            "classes": list(prediction.classes.hot_positions),
+            "features": list(prediction.features.hot_positions),
+            "locations": list(prediction.locations.hot_positions),
+            "full": resp.full}
+
+
+def _oracle_view(abst: AbstractResponse) -> dict[str, object]:
+    """An oracle response as _view renders a Response."""
+    return {"outcome": abst.outcome.value, "classes": sorted(abst.classes),
+            "features": sorted(abst.features), "locations": sorted(abst.locations),
+            "full": abst.full}
+
+
+def _render(view: dict[str, object]) -> str:
+    """A view as one divergence-report string: name=value pairs."""
+    return " ".join(f"{name}={value}" for name, value in view.items())
+
+
 def _record_report(seq: int, rec: TraceRecord, resp: Response | None,
-                   outcome: str) -> dict:
-    rep: dict[str, object] = {"seq": seq, "op": rec.op}
-    for name, value in (("feature", rec.feature), ("feature_bits", rec.feature_bits),
-                        ("location", rec.location), ("class", rec.class_)):
-        if value is not None:
-            rep[name] = value
-    if rec.padding:
-        rep["padding"] = rec.padding
-    rep["outcome"] = outcome
-    if resp is not None:
-        rep["classes"] = list(resp.classes.hot_positions)
-        rep["features"] = list(resp.prediction.features.hot_positions)
-        rep["locations"] = list(resp.prediction.locations.hot_positions)
-        rep["cycles"] = resp.cycles
-        rep["full"] = resp.full
+                   detail: str = "") -> dict:
+    """One record's report: the record's fields, then the Response's view and
+    cycles, or INPUT_ERROR with the error's detail when there is none."""
+    rep: dict[str, object] = {"seq": seq, **rec.to_dict()}
+    if resp is None:
+        rep.update(outcome=INPUT_ERROR, detail=detail)
+    else:
+        rep.update(_view(resp), cycles=resp.cycles)
     return rep
 
 
@@ -201,34 +219,32 @@ def replay_records(system: System, records: list[TraceRecord],
                 resp = system.run(cmd)
         except (InputError, ParseError, LayoutError) as exc:
             summary.input_errors += 1
-            rep = _record_report(seq, rec, None, INPUT_ERROR)
-            rep["detail"] = str(exc)
-            reports.append(rep)
-            if emit:
-                emit(json.dumps(rep, sort_keys=True, separators=(",", ":")))
-            continue
-        summary.total_cycles += resp.cycles
-        if resp.error:
-            summary.errors[resp.outcome.value] = summary.errors.get(resp.outcome.value, 0) + 1
-        kind = CommandKind(rec.op)
-        if kind is CommandKind.INFER:
-            sensations += 1
-            if resp.outcome is Outcome.CONTEXT_SWITCH:
-                summary.context_switches += 1
-                sensations = 1
-                identified = False
-            if resp.outcome in (Outcome.SUCCESS, Outcome.CONTEXT_SWITCH):
-                if resp.classes.popcount == 1 and not identified:
-                    summary.identifications += 1
-                    summary.sensations_to_one_hot.append(sensations)
-                    identified = True
-            else:
+            rep = _record_report(seq, rec, None, str(exc))
+        else:
+            summary.total_cycles += resp.cycles
+            if resp.error:
+                name = resp.outcome.value
+                summary.errors[name] = summary.errors.get(name, 0) + 1
+            kind = cmd.kind
+            if kind is CommandKind.INFER:
+                sensations += 1
+                if resp.outcome is Outcome.CONTEXT_SWITCH:
+                    summary.context_switches += 1
+                    sensations = 1
+                    identified = False
+                if resp.outcome in (Outcome.SUCCESS, Outcome.CONTEXT_SWITCH):
+                    if resp.classes.popcount == 1 and not identified:
+                        summary.identifications += 1
+                        summary.sensations_to_one_hot.append(sensations)
+                        identified = True
+                else:
+                    sensations = 0
+                    identified = False
+            elif (kind is not CommandKind.PREDICT_FEATURE
+                  and kind is not CommandKind.PREDICT_LOCATION):
                 sensations = 0
                 identified = False
-        elif kind is not CommandKind.PREDICT_FEATURE and kind is not CommandKind.PREDICT_LOCATION:
-            sensations = 0
-            identified = False
-        rep = _record_report(seq, rec, resp, resp.outcome.value)
+            rep = _record_report(seq, rec, resp)
         reports.append(rep)
         if emit:
             emit(json.dumps(rep, sort_keys=True, separators=(",", ":")))
@@ -244,21 +260,6 @@ class Divergence:
     fields: tuple[str, ...]
     system_value: str
     oracle_value: str
-
-
-def _compare(resp: Response, abst: AbstractResponse) -> list[str]:
-    bad = []
-    if resp.outcome is not abst.outcome:
-        bad.append("outcome")
-    if set(resp.classes.hot_positions) != set(abst.classes):
-        bad.append("classes")
-    if set(resp.prediction.features.hot_positions) != set(abst.features):
-        bad.append("features")
-    if set(resp.prediction.locations.hot_positions) != set(abst.locations):
-        bad.append("locations")
-    if resp.full != abst.full:
-        bad.append("full")
-    return bad
 
 
 def _valid_bits_mirror_oracle(system: System, oracle: Oracle) -> bool:
@@ -287,20 +288,12 @@ def diff_records(system: System, oracle: Oracle,
             resp = system.run(cmd)
         except (InputError, ParseError, LayoutError):
             continue  # oracle only models validated commands
-        abst = oracle.apply(cmd)
-        bad = _compare(resp, abst)
+        sys_view, ora_view = _view(resp), _oracle_view(oracle.apply(cmd))
+        bad = [name for name, value in sys_view.items() if value != ora_view[name]]
         if not _valid_bits_mirror_oracle(system, oracle):
             bad.append("valid_bits")
         if bad:
-            sys_view = (f"outcome={resp.outcome.value} "
-                        f"classes={sorted(resp.classes.hot_positions)} "
-                        f"features={sorted(resp.prediction.features.hot_positions)} "
-                        f"locations={sorted(resp.prediction.locations.hot_positions)} "
-                        f"full={resp.full}")
-            ora_view = (f"outcome={abst.outcome.value} classes={sorted(abst.classes)} "
-                        f"features={sorted(abst.features)} "
-                        f"locations={sorted(abst.locations)} full={abst.full}")
-            return Divergence(seq, rec, tuple(bad), sys_view, ora_view)
+            return Divergence(seq, rec, tuple(bad), _render(sys_view), _render(ora_view))
     return None
 
 
@@ -317,7 +310,10 @@ _FUZZ_OPS = (
 
 def fuzz_records(layout: SdrLayout, count: int, seed: int = 0,
                  khot_features: bool = False, max_padding: int = 0) -> list[TraceRecord]:
-    """Seeded stream of well-formed random commands."""
+    """Seeded stream of well-formed random commands: each draws the sections
+    its shape does not require to be zero."""
+    if max_padding < 0:
+        raise ValueError(f"max_padding must be >= 0, got {max_padding}")
     rng = random.Random(seed)
     kinds = [k for k, w in _FUZZ_OPS for _ in range(w)]
     out = []
@@ -325,17 +321,16 @@ def fuzz_records(layout: SdrLayout, count: int, seed: int = 0,
         kind = rng.choice(kinds)
         feature = feature_bits = location = class_ = None
         padding = 0
-        if kind in (CommandKind.STORE, CommandKind.DELETE, CommandKind.INFER,
-                    CommandKind.PREDICT_LOCATION):
+        rf, rl, rc = _SHAPES.get(kind, (_ZERO, _ZERO, _ZERO))
+        if rf is not _ZERO:
             if khot_features:
                 value = rng.randrange(1, 1 << layout.feature_bits)
                 feature_bits = format(value, f"0{layout.feature_bits}b")
             else:
                 feature = rng.randrange(layout.feature_bits)
-        if kind in (CommandKind.STORE, CommandKind.DELETE, CommandKind.INFER,
-                    CommandKind.PREDICT_FEATURE):
+        if rl is not _ZERO:
             location = rng.randrange(layout.location_bits)
-        if kind in (CommandKind.STORE, CommandKind.DELETE):
+        if rc is not _ZERO:
             class_ = rng.randrange(layout.class_bits)
         if kind is CommandKind.PREDICT_FEATURE and max_padding:
             padding = rng.randrange(max_padding + 1)
@@ -434,25 +429,26 @@ def _parse_ints(text: str, n: int | None, what: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _layout(text: str | None) -> SdrLayout:
+    """The --layout flag's F,L,C section widths; DEFAULT_LAYOUT without it."""
+    return DEFAULT_LAYOUT if text is None else SdrLayout(*_parse_ints(text, 3, "--layout"))
+
+
 def build_config(args: argparse.Namespace) -> NertcamConfig:
     """Config file first, then flag overrides."""
-    if getattr(args, "config", None):
+    if args.config:
         config = load_config(args.config)
         layout, capacity = config.layout, config.capacity
         mode, khot = config.padding_mode, config.khot_features
     else:
-        layout, capacity = DEFAULT_LAYOUT, 1024
-        mode, khot = PaddingMode.linear(), False
-    if getattr(args, "layout", None) is not None:
-        f, l, c = _parse_ints(args.layout, 3, "--layout")
-        layout = SdrLayout(f, l, c)
-    if getattr(args, "entries", None) is not None:
+        layout, capacity, mode, khot = DEFAULT_LAYOUT, 1024, LINEAR_1D, False
+    if args.layout is not None:
+        layout = _layout(args.layout)
+    if args.entries is not None:
         capacity = args.entries
-    if getattr(args, "grid", None) is not None:
-        r, c = _parse_ints(args.grid, 2, "--grid")
-        mode = PaddingMode.grid(r, c)
-    if getattr(args, "khot", False):
-        khot = True
+    if args.grid is not None:
+        mode = PaddingMode.grid(*_parse_ints(args.grid, 2, "--grid"))
+    khot = khot or args.khot
     config = NertcamConfig(layout=layout, capacity=capacity, padding_mode=mode,
                            khot_features=khot)
     config.validate()
@@ -468,9 +464,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    f, l, c = (_parse_ints(args.layout, 3, "--layout") if args.layout is not None
-               else (128, 25, 10))
-    layout = SdrLayout(f, l, c)
+    layout = _layout(args.layout)
     rows, cols = _parse_ints(args.grid, 2, "--grid") if args.grid is not None else (5, 5)
     ds = generate_dataset(args.classes, (rows, cols), args.features, args.samples,
                           layout, seed=args.seed)
@@ -501,6 +495,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.trace:
         records = [r for path in args.trace for r in load_trace(path)]
     else:
+        if args.ops < 1:
+            raise ValueError(f"--ops must be >= 1, got {args.ops}")
         records = fuzz_records(config.layout, args.ops, seed=args.seed,
                                khot_features=config.khot_features,
                                max_padding=args.max_padding)
@@ -511,7 +507,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         print(json.dumps({"divergences": 0, "records": len(records)}))
         return 0
     print(json.dumps({
-        "divergences": 1, "seq": div.seq, "record": json.loads(div.record.to_json()),
+        "divergences": 1, "seq": div.seq, "record": div.record.to_dict(),
         "fields": list(div.fields), "system": div.system_value,
         "oracle": div.oracle_value,
     }, sort_keys=True))
@@ -519,9 +515,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    f, l, c = (_parse_ints(args.layout, 3, "--layout") if args.layout is not None
-               else (128, 25, 10))
-    layout = SdrLayout(f, l, c)
+    layout = _layout(args.layout)
     entries = (list(_parse_ints(args.entries, None, "--entries"))
                if args.entries is not None else [64, 128, 256, 512, 1024])
     if args.iterations < 1:

@@ -158,10 +158,8 @@ def _window(location: int, width: int, padding: int, mode: PaddingMode) -> int:
     if padding < 0:  # an empty window, as the clamped ranges below would give
         return 0
     i = width - location.bit_length()  # string position of the hot bit
-    if not mode.is_grid:
-        lo, hi = max(0, i - padding), min(width, i + padding + 1)
-        return ((1 << (hi - lo)) - 1) << (width - hi)
-    rows, cols = mode.rows, mode.cols
+    # a line is the grid of one row
+    rows, cols = (mode.rows, mode.cols) if mode.is_grid else (1, width)
     if rows * cols != width:
         raise LayoutError(f"grid {rows}x{cols} does not cover {width} location bits")
     r0, c0 = divmod(i, cols)
@@ -186,24 +184,24 @@ def padding_window(location: Bits, padding: int, mode: PaddingMode = LINEAR_1D) 
 
 
 def _masks(layout: SdrLayout) -> dict[CommandKind, Bits]:
-    """Each kind's DC mask at zero padding; four distinct values per layout,
-    built on first use and kept in layout.shared for every command."""
+    """Each kind's DC mask at zero padding: the sections its shape requires
+    to be zero, and nothing for CLEAR and RESET. Kinds with equal masks share
+    one Bits (four per layout), built on first use and kept in layout.shared
+    for every command."""
     masks = layout.shared.get(_masks)
     if masks is None:
-        l, c = layout.location_bits, layout.class_bits
-        total = layout.total
-        none = Bits(0, total)
-        classes = (1 << c) - 1
-        masks = layout.shared[_masks] = {
-            CommandKind.CLEAR: none,
-            CommandKind.RESET: none,
-            CommandKind.STORE: none,
-            CommandKind.DELETE: none,
-            CommandKind.INFER: Bits(classes, total),
-            # the whole feature section, and the class section
-            CommandKind.PREDICT_FEATURE: Bits((1 << total) - (1 << (l + c)) | classes, total),
-            CommandKind.PREDICT_LOCATION: Bits((1 << (l + c)) - 1, total),
-        }
+        total, c = layout.total, layout.class_bits
+        lc = layout.location_bits + c
+        # the feature, location and class sections' bits
+        sections = ((1 << total) - (1 << lc), (1 << lc) - (1 << c), (1 << c) - 1)
+        shared: dict[int, Bits] = {}
+        masks = layout.shared[_masks] = {}
+        for kind in CommandKind:
+            value = sum(bits for rule, bits in zip(_SHAPES.get(kind, ()), sections)
+                        if rule is _ZERO)
+            if value not in shared:
+                shared[value] = Bits(value, total)
+            masks[kind] = shared[value]
     return masks
 
 

@@ -6,11 +6,12 @@ returns that cycle's CycleTrace. The preprocess and prediction-map blocks
 are combinational and consume no cycles; only controller transitions do.
 
 run() is the per-command path: it submits, then drives the controller one
-step per cycle itself, without going through step(), and adds the
-command's cycles to total_cycles once it completes. Both paths hand the
+step per cycle itself, without going through step(). Both paths hand the
 controller's completion to the Response through _respond(), so run()
 returns, and leaves behind, exactly what a manual submit() and step() loop
-would.
+would. total_cycles is the controller's own cycle counter, so both paths
+count alike; it counts on across image loads, which keep the controller
+and point it at the new memory.
 
 The per-command path is kept lean, because with the array bit-sliced the
 Python calls around it cost more than the array operations. The value
@@ -117,7 +118,6 @@ class System:
         self.config = config
         self.memory = MemoryArray(config.layout, config.capacity)
         self.controller = Controller(self.memory)
-        self.total_cycles = 0
         self.response: Response | None = None
 
     @property
@@ -127,6 +127,11 @@ class System:
     @property
     def busy(self) -> bool:
         return self.controller.busy
+
+    @property
+    def total_cycles(self) -> int:
+        """Clock cycles since construction, image loads included."""
+        return self.controller.cycle_count
 
     def submit(self, cmd: MacroCommand) -> bool:
         """Validate, build the DC mask, and arm the controller.
@@ -148,7 +153,6 @@ class System:
         trace = self.controller.step()
         if trace is None:
             return None
-        self.total_cycles += 1
         if self.controller.completion is not None:
             self._respond()
         return trace
@@ -162,7 +166,6 @@ class System:
         self.submit(cmd)
         while controller.completion is None:
             controller.step()
-        self.total_cycles += controller.completion.cycles
         return self._respond()
 
     def _respond(self) -> Response:
@@ -202,7 +205,6 @@ class System:
         if mem.capacity != self.config.capacity:
             raise ConfigError(
                 f"image has {mem.capacity} rows, device capacity is {self.config.capacity}")
-        self.memory = mem
-        self.controller = Controller(self.memory)
+        self.memory = self.controller.memory = mem
         self.response = None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .preprocess import CommandKind, MacroCommand, PaddingMode
+from .preprocess import LINEAR_1D, CommandKind, MacroCommand, PaddingMode
 from .sdr import Bits, LayoutError, SdrLayout
 from .system import ConfigError, DEFAULT_LAYOUT, NertcamConfig
 
@@ -48,19 +48,19 @@ class TraceRecord:
     padding: int = 0
     line: int = 0
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict[str, object]:
+        """The record's trace fields: op, and each section or padding it sets."""
         obj: dict[str, object] = {"op": self.op}
-        if self.feature is not None:
-            obj["feature"] = self.feature
-        if self.feature_bits is not None:
-            obj["feature_bits"] = self.feature_bits
-        if self.location is not None:
-            obj["location"] = self.location
-        if self.class_ is not None:
-            obj["class"] = self.class_
+        for name, value in (("feature", self.feature), ("feature_bits", self.feature_bits),
+                            ("location", self.location), ("class", self.class_)):
+            if value is not None:
+                obj[name] = value
         if self.padding:
             obj["padding"] = self.padding
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _is_int(v: object) -> bool:
@@ -172,7 +172,7 @@ def config_from_json(text: str) -> NertcamConfig:
             raise ParseError("grid must be a two-element integer list [rows, cols]")
         mode = PaddingMode.grid(grid[0], grid[1])
     else:
-        mode = PaddingMode.linear()
+        mode = LINEAR_1D
     khot = obj.get("khot_features", False)
     if not isinstance(khot, bool):
         raise ParseError(f"config field 'khot_features' must be true or false, got {khot!r}")

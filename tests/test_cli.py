@@ -58,6 +58,15 @@ def test_gen_parameter_errors(tmp_path, capsys):
         generate_dataset(5, (3, 3), 8, 1, layout)
     with pytest.raises(ValueError, match="samples"):
         generate_dataset(4, (3, 3), 8, 9, layout)
+    # no classes: an error, not an empty dataset and empty traces
+    for classes in ("0", "-2"):
+        code = main(["gen", "--classes", classes, "--grid", "3,3", "--features", "8",
+                     "--layout", "8,9,4", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert f"classes must be >= 1, got {classes}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="classes must be >= 1, got 0"):
+        generate_dataset(0, (3, 3), 8, 1, layout)
 
 
 def test_infer_trace_resets_between_objects():
@@ -208,6 +217,32 @@ def test_diff_with_config_file(tmp_path, capsys):
     code = main(["diff", "--config", str(config), "--ops", "500", "--seed", "2"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["records"] == 500
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--ops", "-5"], "--ops must be >= 1, got -5"),
+    (["--ops", "0"], "--ops must be >= 1, got 0"),
+    (["--max-padding", "-1"], "max_padding must be >= 0, got -1"),
+])
+def test_diff_rejects_bad_fuzz_flags(flags, message, capsys):
+    """A fuzz run of no commands would pass vacuously; a negative padding
+    bound names the parameter rather than failing inside the RNG."""
+    code = main(["diff", "--layout", "4,4,4", "--entries", "16", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in captured.err
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="max_padding"):
+        fuzz_records(SdrLayout(4, 4, 4), 10, max_padding=-1)
+
+
+def test_diff_ignores_ops_with_a_trace(tmp_path, capsys):
+    trace = tmp_path / "one.trace"
+    trace.write_text('{"op":"STORE","feature":0,"location":0,"class":0}\n')
+    code = main(["diff", "--layout", "4,4,4", "--entries", "16", "--ops", "0",
+                 "--trace", str(trace)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"divergences": 0, "records": 1}
 
 
 # --- bench ----------------------------------------------------------------------

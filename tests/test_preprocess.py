@@ -113,6 +113,24 @@ def test_dc_masks_at_zero_padding(layout333, kind, text, expect):
     assert build_dc(cmd(kind, text), SdrLayout(3, 3, 3)) is mask
 
 
+@pytest.mark.parametrize("widths", [(3, 3, 3), (4, 7, 4), (16, 25, 8)])
+def test_dc_masks_cover_exactly_the_zero_sections(widths):
+    """At zero padding a kind's mask is all ones on each section its shape
+    requires to be zero and all zeros elsewhere; CLEAR and RESET, with no
+    shape, compare everything. Equal masks are one object: four per layout."""
+    layout = SdrLayout(*widths)
+    masks = {}
+    for kind in CommandKind:
+        shape = _SHAPES.get(kind, ("compared",) * 3)
+        sdr = layout.triplet(*(None if rule == "zero" else 0 for rule in shape))
+        masks[kind] = build_dc(MacroCommand(kind, sdr), layout)
+        expect = [Bits.ones(w) if rule == "zero" else Bits.zeros(w)
+                  for rule, w in zip(shape, widths)]
+        assert layout.split(masks[kind]) == tuple(expect), kind
+    assert len({id(mask) for mask in masks.values()}) == 4
+    assert len(set(masks.values())) == 4
+
+
 def test_dc_padding_only_widens_location(layout333):
     mask = build_dc(cmd(CommandKind.PREDICT_FEATURE, "000|010|000", padding=1),
                     layout333)
@@ -316,6 +334,8 @@ def test_preprocess_matches_section_reference_exhaustively(layout, grid):
     0 to 3: validate_command raises what the reference raises, with the same
     message, and build_dc and padding_window give the reference's masks."""
     modes = (PaddingMode.linear(), grid)
+    # a line is the grid of one row
+    row = PaddingMode.grid(1, layout.location_bits)
     for value in range(1 << layout.total):
         sdr = Bits(value, layout.total)
         _, location, _ = layout.split(sdr)
@@ -323,6 +343,9 @@ def test_preprocess_matches_section_reference_exhaustively(layout, grid):
             for mode in modes:
                 assert (_outcome(padding_window, location, padding, mode)
                         == _outcome(_ref_window, location, padding, mode))
+            assert (_outcome(padding_window, location, padding, row)
+                    == _outcome(_ref_window, location, padding, row)
+                    == _outcome(padding_window, location, padding, PaddingMode.linear()))
             for kind in CommandKind:
                 command = MacroCommand(kind, sdr, padding=padding)
                 for khot in (False, True):

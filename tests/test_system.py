@@ -528,6 +528,31 @@ def test_load_image_mid_command_raises_and_changes_nothing():
     assert system.memory.occupancy == 0
 
 
+def test_total_cycles_is_the_controller_counter_across_image_loads():
+    """total_cycles reads the controller's counter, so run() and step()
+    count alike, and loading an image neither restarts nor skips it."""
+    system = make_system()
+    assert system.total_cycles == system.controller.cycle_count == 0
+    store(system, "001|010|100")
+    system.submit(cmd(CommandKind.INFER, "001|010|000"))
+    cycles = [system.step().cycle for _ in range(2)]
+    assert cycles == [4, 5] and system.step() is None
+    assert system.total_cycles == system.controller.cycle_count == 5
+    image = system.save_image()
+    controller = system.controller
+    system.load_image(make_system().save_image())
+    assert system.total_cycles == system.controller.cycle_count == 5
+    assert system.controller is controller and controller.memory is system.memory
+    system.submit(cmd(CommandKind.STORE, "010|100|010"))
+    assert [system.step().cycle for _ in range(3)] == [6, 7, 8]
+    assert system.response.outcome is Outcome.SUCCESS
+    assert system.memory.occupancy == 1
+    system.load_image(image)
+    resp = system.run(cmd(CommandKind.INFER, "001|010|000"))
+    assert str(resp.classes) == "100"
+    assert system.total_cycles == system.controller.cycle_count == 10
+
+
 def test_image_capacity_mismatch_is_rejected():
     system = make_system(capacity=4)
     image = system.save_image()
