@@ -76,6 +76,8 @@ def generate_dataset(classes: int, grid: tuple[int, int], feature_pool: int,
     if locations != layout.location_bits:
         raise ValueError(f"grid {rows}x{cols} does not cover "
                          f"{layout.location_bits} location bits")
+    if feature_pool < 1:
+        raise ValueError(f"feature pool must be >= 1, got {feature_pool}")
     if feature_pool > layout.feature_bits:
         raise ValueError(f"feature pool {feature_pool} exceeds "
                          f"{layout.feature_bits} feature bits")
@@ -479,9 +481,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_records(paths: list[str]) -> list[TraceRecord]:
+    """The records of the trace files, in order; none at all is an error, as
+    a replay or diff of nothing would pass vacuously."""
+    records = [r for path in paths for r in load_trace(path)]
+    if not records:
+        raise ValueError(f"trace has no records: {', '.join(paths)}")
+    return records
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_config(args)
-    records = [r for path in args.trace for r in load_trace(path)]
+    records = _load_records(args.trace)
     system = System(config)
     _, summary = replay_records(system, records, emit=print,
                                 trace_cycles=args.trace_cycles)
@@ -493,7 +504,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_diff(args: argparse.Namespace) -> int:
     config = build_config(args)
     if args.trace:
-        records = [r for path in args.trace for r in load_trace(path)]
+        records = _load_records(args.trace)
     else:
         if args.ops < 1:
             raise ValueError(f"--ops must be >= 1, got {args.ops}")

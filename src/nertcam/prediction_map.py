@@ -15,16 +15,26 @@ from .rtcam import MemoryArray
 from .sdr import Bits, SdrLayout
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PredictionOutput:
     features: Bits
     locations: Bits
     classes: Bits
 
+    def __init__(self, features: Bits, locations: Bits, classes: Bits) -> None:
+        _output_features(self, features)
+        _output_locations(self, locations)
+        _output_classes(self, classes)
+
     @property
     def is_empty(self) -> bool:
         """All-zero triple, i.e. no valid prediction."""
         return self.features.is_zero and self.locations.is_zero and self.classes.is_zero
+
+
+_output_features = PredictionOutput.features.__set__
+_output_locations = PredictionOutput.locations.__set__
+_output_classes = PredictionOutput.classes.__set__
 
 
 def zero_output(layout: SdrLayout) -> PredictionOutput:
@@ -43,20 +53,27 @@ def condense(matched: int | None, kind: CommandKind,
     """OR-reduce the sections of the rows in the matched row bitmap, gated
     by command kind.
 
-    Only the columns of the sections output are ORed. Non-PREDICT kinds,
+    Only the columns of the sections output are ORed, and the matched rows
+    are counted once: up to half as many rows as those columns are walked
+    once, whole, and more are scanned column by column. Non-PREDICT kinds,
     whose matched is None, get the layout's shared all-zero triple.
     """
     layout = memory.layout
     zero = zero_output(layout)
-    c = layout.class_bits
+    f, c = layout.feature_bits, layout.class_bits
+    lc = layout.location_bits + c
     if kind is CommandKind.PREDICT_FEATURE:
-        lc = layout.location_bits + c
-        return PredictionOutput(Bits(memory.or_rows(matched, lc), layout.feature_bits),
-                                zero.locations,
-                                Bits(memory.or_rows(matched, 0, c), c))
+        # its two sections are apart, so or_rows would count the rows twice
+        if matched.bit_count() * 2 <= f + c:
+            value = memory.walk_rows(matched)
+            features, classes = value >> lc, value & ((1 << c) - 1)
+        else:
+            features = memory.or_rows(matched, lc, None, False)
+            classes = memory.or_rows(matched, 0, c, False)
+        return PredictionOutput(Bits(features, f), zero.locations, Bits(classes, c))
     if kind is CommandKind.PREDICT_LOCATION:
         # the class section is the lowest, the location section next
-        value = memory.or_rows(matched, 0, layout.location_bits + c)
+        value = memory.or_rows(matched, 0, lc)
         return PredictionOutput(zero.features,
                                 Bits(value >> c, layout.location_bits),
                                 Bits(value & ((1 << c) - 1), c))

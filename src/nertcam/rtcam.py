@@ -17,17 +17,18 @@ Each such operation on a row bitmap touches one bit per row.
 
 Three kinds of step walk a set of rows instead: dropping candidates by
 checking their rows, validate's union of the valid rows' classes, and
-or_rows on a few rows. A walk takes the highest set bit each time, and
-it is bounded: past a quarter of the cared 0-positions, or past
-class_bits rows, the column OR takes over, and or_rows walks only a
-bitmap of at most half as many rows as the columns it would scan.
-Candidates that no cared 1-position narrowed skip the walk. So a
-micro-op costs a number of big-integer operations set by the layout
-width, not by the row count. Lookup and validate apply no popcount,
-negation or complement to a row bitmap: in CPython each of these runs
-over every digit of the bitmap, and the last two build a new one as
-well. Called from condense, or_rows takes one popcount, and only to
-choose between the row walk and the column scan.
+the OR of a few rows in or_rows and condense. A walk takes the highest
+set bit each time, and it is bounded: past a quarter of the cared
+0-positions, or past class_bits rows, the column OR takes over, and
+or_rows and condense walk only a bitmap of at most half as many rows as
+the columns they would scan. Candidates that no cared 1-position
+narrowed skip the walk. So a micro-op costs a number of big-integer
+operations set by the layout width, not by the row count. Lookup and
+validate apply no popcount, negation or complement to a row bitmap: in
+CPython each of these runs over every digit of the bitmap, and the last
+two build a new one as well. A PREDICT's condense takes one popcount of
+its matched rows, only to choose between one walk of whole rows and a
+scan of its output columns.
 
 Six single-cycle micro-ops drive the array: clear, reset, store, delete,
 lookup, validate. Sequencing between them belongs to the controller, not
@@ -254,17 +255,23 @@ class MemoryArray:
         if hi is None:
             hi = self.layout.total
         if walk and rows.bit_count() * 2 <= hi - lo:
-            table = self.rows
-            value = 0
-            while rows:
-                i = rows.bit_length() - 1
-                value |= table[i]
-                rows ^= 1 << i
-            return (value >> lo) & ((1 << (hi - lo)) - 1)
+            return (self.walk_rows(rows) >> lo) & ((1 << (hi - lo)) - 1)
         # one character per column, lowest first: with a cold cache, the
         # columns read in ascending order measured faster than descending
         bits = ["1" if col & rows else "0" for col in self._cols[lo:hi]]
         return int("".join(bits)[::-1], 2) if bits else 0
+
+    def walk_rows(self, rows: int) -> int:
+        """OR of the whole triplet values of the rows set in a row bitmap,
+        read row by row, highest first: one step per row, so worth it only
+        for a few rows."""
+        table = self.rows
+        value = 0
+        while rows:
+            i = rows.bit_length() - 1
+            value |= table[i]
+            rows ^= 1 << i
+        return value
 
     # --- memory-image text format ----------------------------------------
 

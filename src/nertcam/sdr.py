@@ -20,7 +20,7 @@ class LayoutError(ValueError):
     """Width or section-layout violation."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Bits:
     """A value-semantic bit string of fixed width.
 
@@ -31,6 +31,13 @@ class Bits:
 
     value: int
     width: int
+
+    def __init__(self, value: int, width: int) -> None:
+        # the slots' own setters: the generated __init__ of a frozen class
+        # sets each field through object.__setattr__, at about twice the cost
+        _bits_value(self, value)
+        _bits_width(self, width)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.width < 0:
@@ -117,6 +124,10 @@ class Bits:
 
     def invert(self) -> Bits:
         return Bits(self.value ^ ((1 << self.width) - 1), self.width)
+
+
+_bits_value = Bits.value.__set__
+_bits_width = Bits.width.__set__
 
 
 def concat(*parts: Bits) -> Bits:

@@ -16,7 +16,13 @@ and point it at the new memory.
 The per-command path is kept lean, because with the array bit-sliced the
 Python calls around it cost more than the array operations. The value
 objects a command builds (Bits, MacroCommand, Completion, StatusOut,
-PredictionOutput, Response) are slotted dataclasses. validate_command
+PredictionOutput, Response) are slotted dataclasses. Bits, MacroCommand,
+PredictionOutput and Response, frozen and built on every command, have a
+hand-written __init__ that sets each slot through its member descriptor's
+setter, bound once at import: the generated __init__ of a frozen class
+goes through object.__setattr__ for each field, at about twice the cost.
+Bits.__init__ still ends with __post_init__, so every Bits built is range
+checked, and counted when a traced run counts them. validate_command
 tests all three sections in one boolean pass, and SdrLayout.triplet sets
 an int index inline; each calls a helper only to raise an error or to
 take a k-hot feature. Width checks compare inline and call check_width
@@ -75,7 +81,7 @@ class NertcamConfig:
                 f"{self.layout.location_bits} location bits")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Response:
     """Per-command result: status, k-hot outputs, and the cycle count."""
 
@@ -84,6 +90,11 @@ class Response:
     # condensed ones, features and locations are PREDICT's
     prediction: PredictionOutput
     cycles: int
+
+    def __init__(self, status: StatusOut, prediction: PredictionOutput, cycles: int) -> None:
+        _response_status(self, status)
+        _response_prediction(self, prediction)
+        _response_cycles(self, cycles)
 
     @property
     def classes(self) -> Bits:
@@ -100,6 +111,11 @@ class Response:
     @property
     def full(self) -> bool:
         return self.status.full
+
+
+_response_status = Response.status.__set__
+_response_prediction = Response.prediction.__set__
+_response_cycles = Response.cycles.__set__
 
 
 @dataclass(frozen=True)

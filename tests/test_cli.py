@@ -67,6 +67,15 @@ def test_gen_parameter_errors(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
     with pytest.raises(ValueError, match="classes must be >= 1, got 0"):
         generate_dataset(0, (3, 3), 8, 1, layout)
+    # no features: the error names the feature pool, not --samples
+    for features in ("0", "-1"):
+        code = main(["gen", "--classes", "4", "--grid", "3,3", "--features", features,
+                     "--layout", "8,9,4", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert f"feature pool must be >= 1, got {features}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="feature pool must be >= 1, got 0"):
+        generate_dataset(4, (3, 3), 0, 1, layout)
 
 
 def test_infer_trace_resets_between_objects():
@@ -129,13 +138,15 @@ def test_run_continues_past_duplicate_store(tmp_path, capsys):
 
 
 def test_run_empty_trace(tmp_path, capsys):
+    """A replay of no records is an error, not a zero summary."""
     trace = tmp_path / "empty.trace"
     trace.write_text("")
-    code = main(["run", "--layout", "8,9,4", "--entries", "4",
-                 "--trace", str(trace)])
-    out = capsys.readouterr().out.strip().splitlines()
-    assert code == 0
-    assert json.loads(out[-1])["summary"]["records"] == 0
+    for path in (str(trace), "/dev/null"):
+        code = main(["run", "--layout", "8,9,4", "--entries", "4", "--trace", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"trace has no records: {path}" in captured.err
+        assert captured.out == ""
 
 
 def test_run_reports_input_errors_and_exits_nonzero(tmp_path, capsys):
@@ -241,6 +252,26 @@ def test_diff_ignores_ops_with_a_trace(tmp_path, capsys):
     trace.write_text('{"op":"STORE","feature":0,"location":0,"class":0}\n')
     code = main(["diff", "--layout", "4,4,4", "--entries", "16", "--ops", "0",
                  "--trace", str(trace)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"divergences": 0, "records": 1}
+
+
+def test_diff_rejects_an_empty_trace(tmp_path, capsys):
+    """A diff of no records would pass vacuously, as a fuzz run of no ops would;
+    an empty file among non-empty ones is fine."""
+    empty = tmp_path / "empty.trace"
+    empty.write_text("\n")
+    one = tmp_path / "one.trace"
+    one.write_text('{"op":"STORE","feature":0,"location":0,"class":0}\n')
+    for paths in ([str(empty)], ["/dev/null"], [str(empty), "/dev/null"]):
+        code = main(["diff", "--layout", "4,4,4", "--entries", "16",
+                     *(flag for path in paths for flag in ("--trace", path))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"trace has no records: {', '.join(paths)}" in captured.err
+        assert captured.out == ""
+    code = main(["diff", "--layout", "4,4,4", "--entries", "16",
+                 "--trace", str(empty), "--trace", str(one)])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {"divergences": 0, "records": 1}
 

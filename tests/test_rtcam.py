@@ -381,32 +381,62 @@ def test_or_rows_walks_few_rows_and_scans_many():
     assert seen == {("walk", True), ("walk", False), ("scan", True), ("scan", False)}
 
 
-def test_condense_matches_row_by_row_on_both_sides_of_the_walk():
-    """condense gives the row-by-row OR of the matched rows' sections,
-    gated by kind, whether or_rows walks the rows or scans the columns."""
+def test_condense_matches_row_by_row_on_both_sides_of_the_walk(monkeypatch):
+    """condense gives the row-by-row OR of the matched rows' sections, dead
+    rows included, gated by kind, whether it walks the rows or scans the
+    columns. It counts the matched rows once: up to half as many rows as
+    the columns it outputs are walked once, each row read once, and every
+    output section is sliced from that OR; more rows scan the output
+    sections' columns, and none is counted again."""
+    scans: list[tuple] = []
+    or_rows = MemoryArray.or_rows
+
+    def or_rows_spy(self, rows, lo=0, hi=None, walk=True):
+        scans.append((lo, hi, walk))
+        return or_rows(self, rows, lo, hi, walk)
+    monkeypatch.setattr(MemoryArray, "or_rows", or_rows_spy)
+
     layout = SdrLayout(16, 8, 4)
     f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
-    rng = random.Random(23)
+    zero = {"features": Bits.zeros(f), "locations": Bits.zeros(l)}
+    rng = random.Random(29)
     seen = set()
     for capacity in (64, 1000):
         mem, log = _spied_memory(layout, capacity, rng)
-        for count in (0, 1, 2, 3, 4, 5, 8, 9, 12, 13, 30, capacity):
+        table = list(mem.rows)
+        # the thresholds are 10 rows (feature + class) and 6 (location + class)
+        for count in (0, 1, 5, 6, 7, 9, 10, 11, 30, capacity):
             matched = _edge_rows(rng, capacity, count)
             value = 0
             for i in rows_of(matched):
-                value |= mem.rows[i]
-            features = Bits(value >> (l + c), f)
-            locations = Bits(value >> c & ((1 << l) - 1), l)
-            classes = Bits(value & ((1 << c) - 1), c)
-            log.clear()
-            out = condense(matched, CommandKind.PREDICT_FEATURE, mem)
-            assert out == PredictionOutput(features, Bits.zeros(l), classes)
-            seen.add(("feature", _branch(log)))
-            log.clear()
-            out = condense(matched, CommandKind.PREDICT_LOCATION, mem)
-            assert out == PredictionOutput(Bits.zeros(f), locations, classes)
-            seen.add(("location", _branch(log)))
-    assert seen == {(kind, branch) for kind in ("feature", "location")
+                value |= table[i]
+            expected = {"features": Bits(value >> (l + c), f),
+                        "locations": Bits(value >> c & ((1 << l) - 1), l),
+                        "classes": Bits(value & ((1 << c) - 1), c)}
+            # each kind's gated section, its output columns and the or_rows
+            # calls that scan them: PREDICT_FEATURE counts the rows itself
+            # and scans its two sections uncounted, PREDICT_LOCATION's one
+            # range lets or_rows count, then walk or scan
+            for kind, gated, columns, calls in (
+                    (CommandKind.PREDICT_FEATURE, "locations", f + c,
+                     [(l + c, None, False), (0, c, False)]),
+                    (CommandKind.PREDICT_LOCATION, "features", l + c,
+                     [(0, l + c, True)])):
+                log.clear()
+                scans.clear()
+                out = condense(matched, kind, mem)
+                assert out == PredictionOutput(**{**expected, gated: zero[gated]})
+                if count * 2 <= columns:
+                    # one walk, each matched row read once
+                    assert log == ["walk"] * count
+                    assert scans == ([] if kind is CommandKind.PREDICT_FEATURE else calls)
+                    seen.add((kind, "walk"))
+                else:
+                    # one slice of _cols per section range, no row read
+                    assert log == ["scan"] * len(calls) and scans == calls
+                    seen.add((kind, "scan"))
+    assert seen == {(kind, branch) for kind in (CommandKind.PREDICT_FEATURE,
+                                                CommandKind.PREDICT_LOCATION)
                     for branch in ("walk", "scan")}
 
 

@@ -2,12 +2,13 @@
 end-to-end identification behavior."""
 
 import dataclasses
+import inspect
 import random
 
 import pytest
 
 from nertcam import (Bits, BusyError, CommandKind, ConfigError, Controller,
-                     InputError, MacroCommand, NertcamConfig, Outcome,
+                     InputError, LayoutError, MacroCommand, NertcamConfig, Outcome,
                      PaddingMode, PredictionOutput, Response, SdrLayout,
                      StatusOut, System)
 from nertcam.cli import fuzz_records
@@ -361,6 +362,80 @@ def test_value_objects_are_slotted_and_keep_their_semantics():
         with pytest.raises((AttributeError, TypeError)):
             obj.extra = None
         assert tuple(getattr(obj, name) for name in names) == values
+
+
+def test_value_object_constructors_set_every_field(monkeypatch):
+    """Bits, MacroCommand, PredictionOutput and Response set their slots in
+    their own __init__: it takes the fields in order, with their defaults,
+    and positional, keyword and dataclasses.replace construction agree. Bits
+    still checks its range and runs __post_init__ once per object built."""
+    bits = Bits.parse("001010100")
+    prediction = PredictionOutput(Bits.zeros(3), Bits(0b010, 3), Bits(0b100, 3))
+    status = StatusOut(Outcome.SUCCESS, False, False)
+    cases = [
+        (Bits, (0b001010100, 9), (0b1, 12)),
+        (MacroCommand, (CommandKind.PREDICT_FEATURE, bits, 2),
+         (CommandKind.STORE, Bits.zeros(9), 0)),
+        (PredictionOutput, (Bits.zeros(3), Bits(0b010, 3), Bits(0b100, 3)),
+         (Bits(0b001, 3), Bits.zeros(3), Bits.zeros(3))),
+        (Response, (status, prediction, 3),
+         (StatusOut(Outcome.INFER_FAILED, True, True),
+          PredictionOutput(Bits.zeros(3), Bits.zeros(3), Bits.zeros(3)), 1)),
+    ]
+    for cls, args, other_args in cases:
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        params = inspect.signature(cls).parameters
+        assert list(params) == names
+        assert [p.default for p in params.values()] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            for f in fields]
+        obj = cls(*args)
+        kwargs = dict(zip(names, args))
+        assert tuple(getattr(obj, name) for name in names) == args
+        assert cls(**kwargs) == obj
+        assert dataclasses.replace(obj) == obj
+        assert dataclasses.replace(cls(*other_args), **kwargs) == obj
+        for name, value in zip(names, other_args):
+            changed = dataclasses.replace(obj, **{name: value})
+            assert getattr(changed, name) == value
+            assert changed == cls(**{**kwargs, name: value})
+        with pytest.raises(TypeError):
+            cls(*args[:1])
+
+    command = MacroCommand(CommandKind.STORE, bits)
+    assert command.padding == 0
+    assert command == MacroCommand(kind=CommandKind.STORE, sdr=bits, padding=0)
+
+    for build in (lambda: Bits(8, 3), lambda: Bits(value=8, width=3),
+                  lambda: dataclasses.replace(Bits(7, 3), value=8), lambda: Bits(0, -1)):
+        with pytest.raises(LayoutError):
+            build()
+
+    built = 0
+    original = Bits.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(Bits, "__post_init__", counted)
+    for build, count in [(lambda: Bits(1, 8), 1), (lambda: Bits(value=1, width=8), 1),
+                         (lambda: dataclasses.replace(bits, value=3), 1),
+                         (lambda: Bits.parse("0110"), 1), (lambda: Bits.zeros(4), 1),
+                         (lambda: bits | bits, 1), (lambda: L333.split(bits), 3),
+                         (lambda: MacroCommand(CommandKind.RESET, bits), 0),
+                         (lambda: PredictionOutput(bits, bits, bits), 0),
+                         (lambda: Response(status, prediction, 1), 0)]:
+        built = 0
+        build()
+        assert built == count
+    # the range check is __post_init__'s: it runs, then raises
+    built = 0
+    with pytest.raises(LayoutError):
+        Bits(8, 3)
+    assert built == 1
 
 
 # --- status ------------------------------------------------------------------------
