@@ -530,8 +530,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     entries = (list(_parse_ints(args.entries, None, "--entries"))
                if args.entries is not None else [64, 128, 256, 512, 1024])
     if args.iterations < 1:
-        print(json.dumps({"results": []}))
-        return 0
+        raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
     for row in run_bench(layout, entries, args.iterations, seed=args.seed):
         print(json.dumps(row, sort_keys=True))
     return 0

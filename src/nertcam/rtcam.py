@@ -277,67 +277,78 @@ class MemoryArray:
 
     def to_image(self) -> str:
         """One row per line: `index feature|location|class V E`. Bit-exact."""
-        total = self.layout.total
-        # row i's valid and occupied bits, as characters indexed by i
+        pretty = self.layout.pretty_value
+        # row i's valid and empty bits, as characters indexed by i
         valid = format(self.valid, f"0{self.capacity}b")[::-1]
-        occupied = format(self.occupied, f"0{self.capacity}b")[::-1]
-        lines = []
-        for i, row in enumerate(self.rows):
-            empty = "0" if occupied[i] == "1" else "1"
-            lines.append(f"{i} {self.layout.pretty(Bits(row, total))} {valid[i]} {empty}")
+        empty = format(self._all_rows ^ self.occupied, f"0{self.capacity}b")[::-1]
+        lines = [f"{i} {pretty(row)} {v} {e}"
+                 for i, (row, v, e) in enumerate(zip(self.rows, valid, empty))]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_image(cls, text: str, layout: SdrLayout) -> MemoryArray:
         """Rebuild an array from its image; capacity = number of lines.
 
-        Non-empty rows must satisfy the device invariants: a nonzero feature
-        section, one-hot location and class sections, no duplicate triplet,
-        and one valid bit per class. Empty rows are dead and not checked.
+        Each line reads `index feature|location|class V E`, with the three
+        sections at the layout's widths. Non-empty rows must satisfy the
+        device invariants: a nonzero feature section, one-hot location and
+        class sections, no duplicate triplet, and one valid bit per class.
+        Empty rows are dead and not checked.
         """
+        total = layout.total
+        f = layout.feature_bits
+        fl = f + layout.location_bits
+        lc = total - f
+        location_mask = (1 << layout.location_bits) - 1
+        class_mask = (1 << layout.class_bits) - 1
         rows: list[int] = []
+        raws: list[str] = []                          # each row's bits, no '|'
         valid_text: list[str] = []
         occupied_text: list[str] = []
         first_line: dict[int, int] = {}              # triplet -> image line
         class_valid: dict[int, tuple[str, int]] = {}  # class -> (V, image line)
-        lc = layout.location_bits + layout.class_bits
-        location_mask = (1 << layout.location_bits) - 1
-        class_mask = (1 << layout.class_bits) - 1
-        for n, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
+        for n, line in enumerate(text.splitlines(), 1):
             parts = line.split()
-            where = f"image line {n + 1}"
+            if not parts:
+                continue
             if len(parts) != 4:
-                raise ValueError(f"{where}: expected 4 fields, got {len(parts)}")
+                raise ValueError(f"image line {n}: expected 4 fields, got {len(parts)}")
             index, bits_text, v, e = parts
             if not (index.isascii() and index.isdigit()):
-                raise ValueError(f"{where}: index {index!r} is not an integer")
+                raise ValueError(f"image line {n}: index {index!r} is not an integer")
             if int(index) != len(rows):
-                raise ValueError(f"{where}: index {index} out of order")
+                raise ValueError(f"image line {n}: index {index} out of order")
             if v not in ("0", "1") or e not in ("0", "1"):
-                raise ValueError(f"{where}: V/E must be 0 or 1")
-            try:
-                value = layout.parse(bits_text).value
-            except LayoutError as exc:
-                raise LayoutError(f"{where}: {exc}") from exc
+                raise ValueError(f"image line {n}: V/E must be 0 or 1")
+            raw = bits_text.replace("|", "")
+            if raw.count("0") + raw.count("1") != len(raw):
+                raise LayoutError(f"image line {n}: invalid bit characters in {bits_text!r}")
+            if len(raw) != total:
+                raise LayoutError(f"image line {n}: expected {total} bits, "
+                                  f"got {len(raw)} in {bits_text!r}")
+            if len(bits_text) != total + 2 or bits_text[f] != "|" or bits_text[fl + 1] != "|":
+                raise LayoutError(
+                    f"image line {n}: expected sections of {f}|{layout.location_bits}|"
+                    f"{layout.class_bits} bits, got {bits_text!r}")
+            value = int(raw, 2)
             if e == "0":
                 location = (value >> layout.class_bits) & location_mask
                 class_ = value & class_mask
                 if not value >> lc:
-                    raise ValueError(f"{where}: feature section is zero")
+                    raise ValueError(f"image line {n}: feature section is zero")
                 if location & (location - 1) or not location:
-                    raise ValueError(f"{where}: location section is not one-hot")
+                    raise ValueError(f"image line {n}: location section is not one-hot")
                 if class_ & (class_ - 1) or not class_:
-                    raise ValueError(f"{where}: class section is not one-hot")
-                first = first_line.setdefault(value, n + 1)
-                if first != n + 1:
-                    raise ValueError(f"{where}: triplet duplicates image line {first}")
-                class_v, class_line = class_valid.setdefault(class_, (v, n + 1))
+                    raise ValueError(f"image line {n}: class section is not one-hot")
+                first = first_line.setdefault(value, n)
+                if first != n:
+                    raise ValueError(f"image line {n}: triplet duplicates image line {first}")
+                class_v, class_line = class_valid.setdefault(class_, (v, n))
                 if class_v != v:
-                    raise ValueError(f"{where}: valid bit {v} differs from image line "
-                                     f"{class_line} of the same class")
+                    raise ValueError(f"image line {n}: valid bit {v} differs from image "
+                                     f"line {class_line} of the same class")
             rows.append(value)
+            raws.append(raw)
             valid_text.append(v)
             occupied_text.append("1" if e == "0" else "0")
         if not rows:
@@ -346,13 +357,11 @@ class MemoryArray:
         mem.rows = rows
         mem.valid = int("".join(reversed(valid_text)), 2)
         mem.occupied = int("".join(reversed(occupied_text)), 2)
-        # transpose: one little-endian byte string per bit position
-        columns = [bytearray((len(rows) + 7) // 8) for _ in range(layout.total)]
-        for i, value in enumerate(rows):
-            byte, bit = i >> 3, 1 << (i & 7)
-            while value:
-                k = value.bit_length() - 1
-                columns[k][byte] |= bit
-                value ^= 1 << k
-        mem._cols = [int.from_bytes(column, "little") for column in columns]
+        # transpose in one step: with the rows' bits joined last row first,
+        # bit k of every row sits at stride total from total - 1 - k, and
+        # the slice reads as column k, its highest row first. Leading zeros
+        # are stripped, since int() sizes its result by the text's length.
+        bits = "".join(reversed(raws))
+        mem._cols = [int(bits[total - 1 - k::total].lstrip("0") or "0", 2)
+                     for k in range(total)]
         return mem

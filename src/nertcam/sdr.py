@@ -205,13 +205,19 @@ class SdrLayout:
                       else _section_value("class", c, class_))
         return Bits(value, self.total)
 
-    def parse(self, text: str) -> Bits:
-        return Bits.parse(text, width=self.total)
-
     def pretty(self, sdr: Bits) -> str:
         """Human-readable text with '|' between sections."""
-        f, l, c = self.split(sdr)
-        return f"{f}|{l}|{c}"
+        if sdr.width != self.total:
+            self.check_width(sdr)
+        return self.pretty_value(sdr.value)
+
+    def pretty_value(self, value: int) -> str:
+        """pretty() of a full-width SDR's value, which must fit the layout:
+        one format of the whole value, sliced at the section bounds."""
+        text = format(value, f"0{self.total}b")
+        f = self.feature_bits
+        fl = f + self.location_bits
+        return f"{text[:f]}|{text[f:fl]}|{text[fl:]}"
 
 
 def _section_value(name: str, width: int, hot: int | Bits | None) -> int:

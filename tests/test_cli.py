@@ -280,10 +280,15 @@ def test_diff_rejects_an_empty_trace(tmp_path, capsys):
 
 
 def test_bench_zero_iterations(capsys):
-    code = main(["bench", "--layout", "8,8,8", "--entries", "8",
-                 "--iterations", "0"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["results"] == []
+    """A run of no iterations would print a result line of another shape
+    than the per-op rows, and pass vacuously."""
+    for iterations in ("0", "-3"):
+        code = main(["bench", "--layout", "8,8,8", "--entries", "8",
+                     "--iterations", iterations])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"--iterations must be >= 1, got {iterations}" in captured.err
+        assert captured.out == ""
 
 
 def test_bench_reports_per_op_rows(capsys):

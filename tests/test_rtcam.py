@@ -1,6 +1,7 @@
 """Memory-array micro-ops: clear, reset, lookup, validate, store, delete."""
 
 import random
+import re
 
 import pytest
 
@@ -690,6 +691,73 @@ def test_image_parse_errors():
     with pytest.raises(ValueError, match="image line 2: valid bit 0 differs from "
                                          "image line 1 of the same class"):
         MemoryArray.from_image("0 001|010|100 1 0\n1 010|100|100 0 0\n", layout)
+
+
+@pytest.mark.parametrize("layout,bits", [
+    (SdrLayout(3, 3, 3), "0010|10|100"),
+    (SdrLayout(3, 3, 3), "001010100"),
+    (SdrLayout(3, 3, 3), "|||001010100"),
+    (SdrLayout(3, 3, 3), "001||010100"),
+    (SdrLayout(3, 3, 3), "001|010|100|"),
+    (SdrLayout(4, 3, 2), "0001|00|100"),
+])
+def test_image_requires_the_section_separators_it_writes(layout, bits):
+    """Separators missing, repeated or out of place are not dropped: the row
+    would load as if written f|l|c. Dead rows are held to the form too."""
+    widths = f"{layout.feature_bits}|{layout.location_bits}|{layout.class_bits}"
+    good = layout.pretty(layout.triplet(0, 0, 0))
+    for e in "01":
+        with pytest.raises(LayoutError, match=re.escape(
+                f"image line 2: expected sections of {widths} bits, got {bits!r}")):
+            MemoryArray.from_image(f"0 {good} 1 0\n1 {bits} 1 {e}\n", layout)
+
+
+def _random_image(rng, layout, capacity):
+    """Image text of a reachable state, built here and not by to_image: live
+    rows hold distinct triplets with k-hot features and one V bit per class;
+    dead rows hold any bits but a column left zero, and the top tenth of the
+    rows is dead and zero. Also returns each row's value, V and E."""
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    total = layout.total
+    zero_column = 1 << rng.randrange(total)
+    class_v = [rng.choice("01") for _ in range(c)]
+    seen: set[int] = set()
+    lines, rows = [], []
+    for i in range(capacity):
+        if i >= capacity - capacity // 10:
+            value, v, e = 0, rng.choice("01"), "1"
+        elif rng.random() < 0.3:
+            value, v, e = rng.getrandbits(total) & ~zero_column, rng.choice("01"), "1"
+        else:
+            value = 0
+            while not value or value in seen or value & zero_column:
+                feature = sum(1 << k for k in rng.sample(range(f), rng.randint(1, 4)))
+                class_ = rng.randrange(c)
+                value = feature << (l + c) | 1 << (c + rng.randrange(l)) | 1 << class_
+            seen.add(value)
+            v, e = class_v[class_], "0"
+        bits = format(value, f"0{total}b")
+        lines.append(f"{i} {bits[:f]}|{bits[f:f + l]}|{bits[f + l:]} {v} {e}")
+        rows.append((value, v, e))
+    return "\n".join(lines) + "\n", rows
+
+
+def test_image_round_trip_over_many_digits():
+    """from_image over hundreds of rows (row bitmaps of many 30-bit digits,
+    row values of two) equals a row-by-row reference load, and to_image
+    writes the image back byte for byte."""
+    layout = SdrLayout(40, 9, 5)
+    rng = random.Random(16)
+    for capacity in (300, 1000):
+        text, rows = _random_image(rng, layout, capacity)
+        mem = MemoryArray.from_image(text, layout)
+        assert mem.rows == [value for value, _, _ in rows]
+        assert mem.valid == sum(1 << i for i, (_, v, _) in enumerate(rows) if v == "1")
+        assert mem.occupied == sum(1 << i for i, (_, _, e) in enumerate(rows) if e == "0")
+        assert mem._cols == [sum((value >> k & 1) << i for i, (value, _, _) in enumerate(rows))
+                             for k in range(layout.total)]
+        assert 0 in mem._cols  # a column no row holds a 1 in
+        assert mem.to_image() == text
 
 
 def test_image_checks_only_non_empty_rows():

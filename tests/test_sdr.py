@@ -185,6 +185,9 @@ def test_inline_triplet_matches_section_value_path():
 
 def test_pretty(layout333):
     assert layout333.pretty(B("001010100")) == "001|010|100"
+    assert SdrLayout(4, 1, 2).pretty(B("0000101")) == "0000|1|01"
+    with pytest.raises(LayoutError, match="SDR width 8 != layout total 9"):
+        layout333.pretty(B("00101010"))
 
 
 # --- one-hot predicate -------------------------------------------------------
