@@ -9,9 +9,10 @@ from contextlib import contextmanager
 from nertcam import (Bits, CommandKind, LookupScope, MacroCommand,
                      MemoryArray, NertcamConfig, Outcome, SdrLayout, System,
                      build_dc, concat, equality_match, padding_window)
-from nertcam.cli import (diff_records, fuzz_records, generate_dataset,
-                         oracle_for, run_bench, store_trace)
+from nertcam.cli import run_bench
+from nertcam.lockstep import diff_records, oracle_for
 from nertcam.traces import record_to_command
+from nertcam.workload import fuzz_records, generate_dataset, store_trace
 
 
 FULL_SCALE = SdrLayout(128, 25, 10)  # 163-bit SDRs, 165-bit rows

@@ -6,8 +6,9 @@ import json
 import pytest
 
 from nertcam import SdrLayout
-from nertcam.cli import (fuzz_records, generate_dataset, infer_trace, main,
-                         store_trace)
+from nertcam.cli import main
+from nertcam.workload import (fuzz_records, generate_dataset, infer_trace,
+                              store_trace)
 
 L_SMALL = SdrLayout(8, 9, 4)  # 3x3 grid
 
@@ -360,11 +361,12 @@ def test_run_output_is_byte_deterministic(tmp_path, capsys):
 def test_diff_divergence_exits_two(tmp_path, capsys, monkeypatch):
     # forcing a fake divergence checks the reporting and exit-code plumbing
     import nertcam.cli as cli_mod
+    from nertcam.lockstep import Divergence
     from nertcam.traces import TraceRecord
 
     def fake_diff(system, oracle, records):
-        return cli_mod.Divergence(3, TraceRecord(op="INFER", feature=0, location=0),
-                                  ("classes",), "sys-view", "oracle-view")
+        return Divergence(3, TraceRecord(op="INFER", feature=0, location=0),
+                          ("classes",), "sys-view", "oracle-view")
 
     monkeypatch.setattr(cli_mod, "diff_records", fake_diff)
     code = main(["diff", "--layout", "4,4,4", "--entries", "16", "--ops", "10"])

@@ -1,8 +1,17 @@
-"""Lockstep device-vs-oracle runs over seeded fuzz streams and fault injection."""
+"""Lockstep device-vs-oracle runs over seeded fuzz streams and fault injection,
+and the comparator they share, field by field."""
 
-from nertcam import NertcamConfig, PaddingMode, SdrLayout, System
-from nertcam.cli import diff_records, fuzz_records, oracle_for
+import random
+from dataclasses import replace
+
+import pytest
+
+from nertcam import (AbstractResponse, Bits, MemoryArray, NertcamConfig, Outcome,
+                     PaddingMode, PredictionOutput, Response, SdrLayout, StatusOut,
+                     System)
+from nertcam.lockstep import diff_records, mismatches, oracle_for, valid_bits_mirror
 from nertcam.traces import TraceRecord
+from nertcam.workload import fuzz_records
 
 
 def run_diff(config, records):
@@ -71,3 +80,94 @@ def test_corrupted_memory_diverges_at_first_affected_record():
     assert div is not None
     assert div.seq == 2
     assert "outcome" in div.fields
+
+
+# --- the comparator, field by field ------------------------------------------------
+
+def _valid_rows_by_row_walk(memory, classes):
+    """Reference for valid_bits_mirror: the occupied rows that should be
+    valid, found by walking every occupied row and testing its class
+    section against the classes."""
+    wanted = Bits.from_positions(memory.layout.class_bits, classes).value
+    expected = 0
+    occupied = memory.occupied
+    while occupied:
+        row = occupied & -occupied
+        if memory.rows[row.bit_length() - 1] & wanted:
+            expected |= row
+        occupied ^= row
+    return expected
+
+
+def test_valid_bits_mirror_matches_row_walk():
+    """On rows with arbitrary bits (no, one or several class bits set),
+    random valid and occupied bitmaps and random class sets, the column form
+    gives the row walk's answer, both when the bits mirror and when not."""
+    rng = random.Random(17)
+    answers = {True: 0, False: 0}
+    for layout in (SdrLayout(4, 4, 4), SdrLayout(8, 9, 10)):
+        width, c = layout.total, layout.class_bits
+        for capacity in (1, 7, 64, 300):  # above 30 rows a bitmap has several digits
+            for _ in range(30):
+                mem = MemoryArray(layout, capacity)
+                for _ in range(capacity):
+                    high = rng.getrandbits(width - c) << c
+                    class_bits = rng.choice((0, 1 << rng.randrange(c), rng.getrandbits(c)))
+                    mem.micro_store(Bits(high | class_bits, width))
+                mem.occupied = rng.getrandbits(capacity)  # freed rows keep their bits
+                classes = rng.sample(range(c), rng.randrange(c + 1))
+                expected = _valid_rows_by_row_walk(mem, classes)
+                for valid in (rng.getrandbits(capacity),
+                              expected | rng.getrandbits(capacity) & ~mem.occupied,
+                              expected ^ (mem.occupied & -mem.occupied)):
+                    mem.valid = valid
+                    want = valid & mem.occupied == expected
+                    assert valid_bits_mirror(mem, classes) is want
+                    answers[want] += 1
+    assert answers[True] > 100 and answers[False] > 100
+
+
+def _agreeing_pair():
+    """A hand-built device Response and the oracle answer that matches it."""
+    resp = Response(StatusOut(Outcome.SUCCESS, False, False),
+                    PredictionOutput(Bits.from_positions(4, [1, 2]),
+                                     Bits.from_positions(4, [3]),
+                                     Bits.from_positions(4, [0])), cycles=3)
+    expected = AbstractResponse(Outcome.SUCCESS, frozenset({0}), frozenset({1, 2}),
+                                frozenset({3}), False)
+    return resp, expected
+
+
+@pytest.mark.parametrize("name, value", [
+    ("outcome", Outcome.CONTEXT_SWITCH),
+    ("classes", frozenset({0, 1})),
+    ("features", frozenset({1})),
+    ("locations", frozenset()),
+    ("full", True),
+])
+def test_mismatches_names_the_one_differing_field(name, value):
+    config = NertcamConfig(layout=SdrLayout(4, 4, 4), capacity=8)
+    system, oracle = System(config), oracle_for(config)
+    resp, expected = _agreeing_pair()
+    assert mismatches(system, oracle, resp, expected) == []
+    assert mismatches(system, oracle, resp, replace(expected, **{name: value})) == [name]
+
+
+def test_corrupted_valid_bits_diverge_on_valid_bits_alone():
+    config = NertcamConfig(layout=SdrLayout(4, 4, 4), capacity=8)
+    system = System(config)
+    oracle = oracle_for(config)
+    setup = [TraceRecord(op="STORE", feature=f, location=l, class_=c)
+             for f, l, c in [(0, 0, 0), (1, 1, 1), (2, 2, 2)]]
+    setup.append(TraceRecord(op="INFER", feature=1, location=1))
+    assert diff_records(system, oracle, setup) is None
+    assert oracle.valid == {1}
+
+    # mark row 0, of class 0, valid behind the device's back
+    system.memory.valid |= 1
+    # a prediction for a feature no row holds matches nothing on either
+    # side, and leaves the valid bits as it found them
+    div = diff_records(system, oracle, [TraceRecord(op="PREDICT_LOCATION", feature=3)])
+    assert div is not None
+    assert div.seq == 0
+    assert div.fields == ("valid_bits",)

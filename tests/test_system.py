@@ -11,9 +11,9 @@ from nertcam import (Bits, BusyError, CommandKind, ConfigError, Controller,
                      InputError, LayoutError, MacroCommand, NertcamConfig, Outcome,
                      PaddingMode, PredictionOutput, Response, SdrLayout,
                      StatusOut, System)
-from nertcam.cli import fuzz_records
 from nertcam.state_machine import Completion
 from nertcam.traces import TraceRecord, record_to_command
+from nertcam.workload import fuzz_records
 
 
 L333 = SdrLayout(3, 3, 3)
