@@ -9,11 +9,11 @@ from .preprocess import (CommandKind, InputError, MacroCommand, PaddingMode,
 from .prediction_map import PredictionOutput, condense
 from .rtcam import LookupScope, MemoryArray
 from .sdr import (Bits, LayoutError, SdrLayout, concat, equality_match,
-                  is_one_hot, membership_match)
+                  membership_match)
 from .state_machine import (Controller, ControllerState, CycleTrace, Outcome,
                             StatusOut)
 from .system import (BusyError, ConfigError, DEFAULT_LAYOUT, NertcamConfig,
-                     Response, System, SystemStatus)
+                     Response, System)
 
 __version__ = "0.1.0"
 
@@ -41,12 +41,10 @@ __all__ = [
     "SdrLayout",
     "StatusOut",
     "System",
-    "SystemStatus",
     "build_dc",
     "concat",
     "condense",
     "equality_match",
-    "is_one_hot",
     "membership_match",
     "padding_window",
     "validate_command",

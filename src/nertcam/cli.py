@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -103,11 +104,16 @@ def run_bench(layout: SdrLayout, entries_list: list[int], iterations: int,
 
 # --- argument plumbing -----------------------------------------------------------
 
+#: one item of an integer-list flag, once stripped: ASCII digits and an
+#: optional minus, so that int() accepts it and no other spelling gets by
+_INT = re.compile(r"-?[0-9]+")
+
+
 def _parse_ints(text: str, n: int | None, what: str) -> tuple[int, ...]:
     """n comma-separated integers, or any number of them when n is None."""
     parts = text.split(",")
     if (n is not None and len(parts) != n
-            or not all(p.strip().lstrip("-").isdigit() for p in parts)):
+            or not all(_INT.fullmatch(p.strip()) for p in parts)):
         count = "" if n is None else f"{n} "
         raise ValueError(f"{what} must be {count}comma-separated integers")
     return tuple(int(p) for p in parts)

@@ -4,6 +4,10 @@ A prediction's matched rows are OR-reduced per section. The section the
 agent supplied is forced low (it would only echo the input back), and
 non-PREDICT commands emit nothing from this block. An all-zero output
 triple means the prediction failed.
+
+condense is where a PREDICT chooses how to read its matched rows: it
+counts them once, walks a few whole rows with MemoryArray.walk_rows, and
+has MemoryArray.or_rows scan the output columns for more.
 """
 
 from __future__ import annotations
@@ -25,11 +29,6 @@ class PredictionOutput:
         _output_features(self, features)
         _output_locations(self, locations)
         _output_classes(self, classes)
-
-    @property
-    def is_empty(self) -> bool:
-        """All-zero triple, i.e. no valid prediction."""
-        return self.features.is_zero and self.locations.is_zero and self.classes.is_zero
 
 
 _output_features = PredictionOutput.features.__set__
@@ -53,28 +52,28 @@ def condense(matched: int | None, kind: CommandKind,
     """OR-reduce the sections of the rows in the matched row bitmap, gated
     by command kind.
 
-    Only the columns of the sections output are ORed, and the matched rows
-    are counted once: up to half as many rows as those columns are walked
-    once, whole, and more are scanned column by column. Non-PREDICT kinds,
-    whose matched is None, get the layout's shared all-zero triple.
+    Only the columns of the sections output are ORed. The matched rows are
+    counted once, to choose how: up to half as many rows as those columns
+    are walked once, whole (MemoryArray.walk_rows), and more are scanned
+    column by column (MemoryArray.or_rows). Non-PREDICT kinds, whose
+    matched is None, get the layout's shared all-zero triple.
     """
     layout = memory.layout
     zero = zero_output(layout)
-    f, c = layout.feature_bits, layout.class_bits
-    lc = layout.location_bits + c
-    if kind is CommandKind.PREDICT_FEATURE:
-        # its two sections are apart, so or_rows would count the rows twice
-        if matched.bit_count() * 2 <= f + c:
-            value = memory.walk_rows(matched)
-            features, classes = value >> lc, value & ((1 << c) - 1)
-        else:
-            features = memory.or_rows(matched, lc, None, False)
-            classes = memory.or_rows(matched, 0, c, False)
-        return PredictionOutput(Bits(features, f), zero.locations, Bits(classes, c))
-    if kind is CommandKind.PREDICT_LOCATION:
-        # the class section is the lowest, the location section next
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    lc = l + c
+    feature = kind is CommandKind.PREDICT_FEATURE
+    if not feature and kind is not CommandKind.PREDICT_LOCATION:
+        return zero
+    # the class section is the lowest, the location section next
+    if matched.bit_count() * 2 <= (f + c if feature else lc):
+        value = memory.walk_rows(matched)
+    elif feature:
+        # the feature and class sections are apart: one scan each
+        value = memory.or_rows(matched, lc, layout.total) << lc | memory.or_rows(matched, 0, c)
+    else:
         value = memory.or_rows(matched, 0, lc)
-        return PredictionOutput(zero.features,
-                                Bits(value >> c, layout.location_bits),
-                                Bits(value & ((1 << c) - 1), c))
-    return zero
+    classes = Bits(value & ((1 << c) - 1), c)
+    if feature:
+        return PredictionOutput(Bits(value >> lc, f), zero.locations, classes)
+    return PredictionOutput(zero.features, Bits(value >> c & ((1 << l) - 1), l), classes)

@@ -69,10 +69,6 @@ class PaddingMode:
     cols: int = 0
 
     @classmethod
-    def linear(cls) -> PaddingMode:
-        return cls()
-
-    @classmethod
     def grid(cls, rows: int, cols: int) -> PaddingMode:
         if rows < 1 or cols < 1:
             raise LayoutError(f"grid dimensions must be positive, got {rows}x{cols}")
@@ -83,7 +79,7 @@ class PaddingMode:
         return self.rows > 0
 
 
-LINEAR_1D = PaddingMode.linear()
+LINEAR_1D = PaddingMode()
 
 
 # each section's rule in validate_command: one-hot, all zeros, or the

@@ -17,18 +17,17 @@ Each such operation on a row bitmap touches one bit per row.
 
 Three kinds of step walk a set of rows instead: dropping candidates by
 checking their rows, validate's union of the valid rows' classes, and
-the OR of a few rows in or_rows and condense. A walk takes the highest
-set bit each time, and it is bounded: past a quarter of the cared
-0-positions, or past class_bits rows, the column OR takes over, and
-or_rows and condense walk only a bitmap of at most half as many rows as
-the columns they would scan. Candidates that no cared 1-position
+walk_rows, the OR of a few whole rows. A walk takes the highest set bit
+each time, and it is bounded: past a quarter of the cared 0-positions,
+or past class_bits rows, the column OR takes over. or_rows always scans
+its columns; condense chooses between it and walk_rows with one popcount
+of its matched rows, and walks only a bitmap of at most half as many
+rows as the columns it would scan. Candidates that no cared 1-position
 narrowed skip the walk. So a micro-op costs a number of big-integer
 operations set by the layout width, not by the row count. Lookup and
 validate apply no popcount, negation or complement to a row bitmap: in
 CPython each of these runs over every digit of the bitmap, and the last
-two build a new one as well. A PREDICT's condense takes one popcount of
-its matched rows, only to choose between one walk of whole rows and a
-scan of its output columns.
+two build a new one as well.
 
 Six single-cycle micro-ops drive the array: clear, reset, store, delete,
 lookup, validate. Sequencing between them belongs to the controller, not
@@ -189,9 +188,8 @@ class MemoryArray:
             union |= rows[i]
             left ^= 1 << i
         if left:
-            # the class section is the lowest, so column k is class bit k;
-            # more than c rows are live, so or_rows need not count them
-            union = self.or_rows(live, 0, c, False)
+            # the class section is the lowest, so column k is class bit k
+            union = self.or_rows(live, 0, c)
         else:
             union &= (1 << c) - 1
         self.valid = self.occupied & self._any_column(union)
@@ -242,20 +240,13 @@ class MemoryArray:
         """Valid, non-empty rows as a bitmap: after a lookup, the rows it matched."""
         return self.valid & self.occupied
 
-    def or_rows(self, rows: int, lo: int = 0, hi: int | None = None,
-                walk: bool = True) -> int:
-        """OR of the triplet values of the rows set in a row bitmap.
+    def or_rows(self, rows: int, lo: int, hi: int) -> int:
+        """OR of value bits lo to hi - 1 (least significant first) of the
+        rows set in a row bitmap, shifted down by lo.
 
-        Only value bits lo to hi - 1 (least significant first; hi defaults
-        to the layout width) are ORed, and the result is shifted down by lo.
-        Up to half as many rows as columns are ORed row by row, highest
-        first; more rows, or walk=False, scan the columns instead. Choosing
-        costs one popcount of the bitmap, which walk=False skips.
+        Scans those columns, however few rows are set; walk_rows reads the
+        rows themselves, which condense chooses for a few rows.
         """
-        if hi is None:
-            hi = self.layout.total
-        if walk and rows.bit_count() * 2 <= hi - lo:
-            return (self.walk_rows(rows) >> lo) & ((1 << (hi - lo)) - 1)
         # one character per column, lowest first: with a cold cache, the
         # columns read in ascending order measured faster than descending
         bits = ["1" if col & rows else "0" for col in self._cols[lo:hi]]

@@ -81,18 +81,9 @@ class Bits:
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b") if self.width else ""
 
-    def bit(self, position: int) -> int:
-        if not 0 <= position < self.width:
-            raise LayoutError(f"position {position} outside width {self.width}")
-        return (self.value >> (self.width - 1 - position)) & 1
-
     @property
     def popcount(self) -> int:
         return self.value.bit_count()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
 
     @property
     def hot_positions(self) -> tuple[int, ...]:
@@ -105,25 +96,6 @@ class Bits:
             v ^= low
         out.reverse()
         return tuple(out)
-
-    def _check_same_width(self, other: Bits) -> None:
-        if self.width != other.width:
-            raise LayoutError(f"width mismatch: {self.width} vs {other.width}")
-
-    def __or__(self, other: Bits) -> Bits:
-        self._check_same_width(other)
-        return Bits(self.value | other.value, self.width)
-
-    def __and__(self, other: Bits) -> Bits:
-        self._check_same_width(other)
-        return Bits(self.value & other.value, self.width)
-
-    def __xor__(self, other: Bits) -> Bits:
-        self._check_same_width(other)
-        return Bits(self.value ^ other.value, self.width)
-
-    def invert(self) -> Bits:
-        return Bits(self.value ^ ((1 << self.width) - 1), self.width)
 
 
 _bits_value = Bits.value.__set__
@@ -232,11 +204,6 @@ def _section_value(name: str, width: int, hot: int | Bits | None) -> int:
     if 0 <= hot < width:
         return 1 << (width - 1 - hot)
     raise LayoutError(f"{name} index {hot} outside width {width}")
-
-
-def is_one_hot(v: Bits) -> bool:
-    """True iff exactly one bit is set."""
-    return v.popcount == 1
 
 
 def equality_match(stored: Bits, query: Bits, dc: Bits) -> bool:

@@ -118,16 +118,8 @@ _response_prediction = Response.prediction.__set__
 _response_cycles = Response.cycles.__set__
 
 
-@dataclass(frozen=True)
-class SystemStatus:
-    busy: bool
-    full: bool
-    last_outcome: Outcome | None
-    occupancy: int
-
-
 class System:
-    """The device facade: submit/step/run plus status and memory images."""
+    """The device facade: submit/step/run plus memory images."""
 
     def __init__(self, config: NertcamConfig):
         config.validate()
@@ -200,10 +192,6 @@ class System:
                                               done.classes)
         self.response = Response(status, prediction, done.cycles)
         return self.response
-
-    def status(self) -> SystemStatus:
-        last = self.response.outcome if self.response else None
-        return SystemStatus(self.busy, self.memory.full, last, self.memory.occupancy)
 
     # --- memory images -----------------------------------------------------
 

@@ -129,19 +129,6 @@ def record_to_command(rec: TraceRecord, layout: SdrLayout) -> MacroCommand:
 
 # --- config files ----------------------------------------------------------
 
-def config_to_json(config: NertcamConfig) -> str:
-    obj = {
-        "feature_bits": config.layout.feature_bits,
-        "location_bits": config.layout.location_bits,
-        "class_bits": config.layout.class_bits,
-        "entries": config.capacity,
-        "khot_features": config.khot_features,
-    }
-    if config.padding_mode.is_grid:
-        obj["grid"] = [config.padding_mode.rows, config.padding_mode.cols]
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def config_from_json(text: str) -> NertcamConfig:
     try:
         obj = json.loads(text)

@@ -59,6 +59,8 @@ class Dataset:
 def generate_dataset(classes: int, grid: tuple[int, int], feature_pool: int,
                      samples: int, layout: SdrLayout, seed: int = 0) -> Dataset:
     rows, cols = grid
+    if rows < 1 or cols < 1:
+        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
     locations = rows * cols
     if locations != layout.location_bits:
         raise ValueError(f"grid {rows}x{cols} does not cover "

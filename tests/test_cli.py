@@ -44,11 +44,20 @@ def test_gen_is_seed_deterministic(tmp_path):
 
 
 def test_gen_parameter_errors(tmp_path, capsys):
-    # an empty override is an error, not a request for the default
-    for flags in (["--layout", ""], ["--grid", ""], ["--layout", "", "--grid", ""]):
+    # an empty override is an error, not a request for the default, and so
+    # is an item that is not ASCII digits with an optional minus
+    for flags in (["--layout", ""], ["--grid", ""], ["--layout", "", "--grid", ""],
+                  ["--grid=--5,5"], ["--layout=²,4,4"], ["--grid=+5,5"], ["--grid=1_0,5"]):
         code = main(["gen", *flags, "--out-dir", str(tmp_path)])
         assert code == 1
-        assert "comma-separated integers" in capsys.readouterr().err
+        what = "--layout must be 3" if "layout" in flags[0] else "--grid must be 2"
+        assert f"error: {what} comma-separated integers" in capsys.readouterr().err
+    # a grid that covers the location bits with negative dimensions
+    for grid in ("-5,-5", "-1,-25"):
+        code = main(["gen", f"--grid={grid}", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert ("grid dimensions must be positive, got " + grid.replace(",", "x")
+                in capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
     layout = SdrLayout(8, 9, 4)
     with pytest.raises(ValueError, match="grid"):
@@ -198,6 +207,12 @@ def test_run_parse_error_exits_one(tmp_path, capsys):
     code = main(["run", "--layout", "", "--trace", str(trace)])
     assert code == 1
     assert "error: --layout must be 3 comma-separated integers" in capsys.readouterr().err
+    # and an item int() would not read, named by its flag
+    for flag, what in (("--grid=--5,5", "--grid must be 2"),
+                       ("--layout=²,4,4", "--layout must be 3")):
+        code = main(["run", flag, "--trace", str(trace)])
+        assert code == 1
+        assert f"error: {what} comma-separated integers" in capsys.readouterr().err
 
 
 # --- diff ------------------------------------------------------------------------

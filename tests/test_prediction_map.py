@@ -5,6 +5,7 @@ import random
 import pytest
 
 from nertcam import Bits, CommandKind, MemoryArray, SdrLayout, concat, condense
+from nertcam.prediction_map import zero_output
 
 L333 = SdrLayout(3, 3, 3)
 
@@ -24,12 +25,12 @@ def test_predict_feature_unions_features_and_classes():
     assert str(out.features) == "101"
     assert str(out.locations) == "000"
     assert str(out.classes) == "110"
-    assert not out.is_empty
+    assert out != zero_output(L333)
 
 
 def test_predict_location_with_no_matches_is_all_zero():
     out = condense(0, CommandKind.PREDICT_LOCATION, memory("001|010|100"))
-    assert out.is_empty
+    assert out == zero_output(L333)
 
 
 def test_predict_location_gates_features_low():
@@ -45,7 +46,7 @@ def test_predict_location_gates_features_low():
                                   CommandKind.RESET])
 def test_non_predict_commands_emit_nothing(kind):
     mem = memory("001|010|100", "100|010|010")
-    assert condense(0b11, kind, mem).is_empty
+    assert condense(0b11, kind, mem) == zero_output(L333)
 
 
 def test_outputs_are_exact_unions_with_bounded_popcount():
@@ -74,7 +75,7 @@ def test_outputs_are_exact_unions_with_bounded_popcount():
                 assert out.locations.value == l_union
                 assert out.features.value == 0
             # gating: never both sections nonzero
-            assert out.features.is_zero or out.locations.is_zero
+            assert not out.features.value or not out.locations.value
             for section in (out.features, out.locations, out.classes):
                 assert section.popcount <= matched.bit_count()
 

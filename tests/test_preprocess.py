@@ -266,12 +266,12 @@ def _ref_validate(command, layout, khot_features):
             raise InputError(f"{name} section must be one-hot, got {section}")
 
     def zero(section, name):
-        if not section.is_zero:
+        if section.value:
             raise InputError(f"{name} section must be all zeros, got {section}")
 
     def feature_ok(section):
         if khot_features:
-            if section.is_zero:
+            if not section.value:
                 raise InputError("feature section must be nonzero in k-hot mode")
         else:
             one_hot(section, "feature")
@@ -333,7 +333,7 @@ def test_preprocess_matches_section_reference_exhaustively(layout, grid):
     """Every SDR of the layout, every kind, both feature modes and padding
     0 to 3: validate_command raises what the reference raises, with the same
     message, and build_dc and padding_window give the reference's masks."""
-    modes = (PaddingMode.linear(), grid)
+    modes = (PaddingMode(), grid)
     # a line is the grid of one row
     row = PaddingMode.grid(1, layout.location_bits)
     for value in range(1 << layout.total):
@@ -345,7 +345,7 @@ def test_preprocess_matches_section_reference_exhaustively(layout, grid):
                         == _outcome(_ref_window, location, padding, mode))
             assert (_outcome(padding_window, location, padding, row)
                     == _outcome(_ref_window, location, padding, row)
-                    == _outcome(padding_window, location, padding, PaddingMode.linear()))
+                    == _outcome(padding_window, location, padding, PaddingMode()))
             for kind in CommandKind:
                 command = MacroCommand(kind, sdr, padding=padding)
                 for khot in (False, True):

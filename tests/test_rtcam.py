@@ -307,12 +307,12 @@ def test_or_rows_matches_row_by_row_or_over_many_digits():
     for _ in range(capacity):
         mem.micro_store(Bits(rng.getrandbits(width) & rng.getrandbits(width), width))
     top = layout.location_bits + layout.class_bits
-    ranges = [(0, None), (0, layout.class_bits), (layout.class_bits, top), (top, None),
-              (top, width), (5, 5), (width, None), (0, 0)]
+    ranges = [(0, width), (0, layout.class_bits), (layout.class_bits, top),
+              (top, width), (5, 5), (width, width), (0, 0)]
     for count in (0, 1, 2, 7, 100, capacity):
         rows = _edge_rows(rng, capacity, count)
         for lo, hi in ranges:
-            span = (width if hi is None else hi) - lo
+            span = hi - lo
             expected = 0
             for i in rows_of(rows):
                 expected |= mem.rows[i] >> lo & ((1 << span) - 1)
@@ -321,7 +321,7 @@ def test_or_rows_matches_row_by_row_or_over_many_digits():
 
 class _ReadLog(list):
     """A list that logs each read under one name, so that a test can tell
-    which of or_rows' branches ran: the walk reads rows, the scan _cols."""
+    how the array was read: a walk reads rows, a scan _cols."""
 
     def __init__(self, items, log, name):
         super().__init__(items)
@@ -348,53 +348,45 @@ def _spied_memory(layout, capacity, rng):
     return mem, log
 
 
-def _branch(log):
-    return "scan" if "scan" in log else "walk"
-
-
-def test_or_rows_walks_few_rows_and_scans_many():
-    """or_rows ORs the rows themselves when the bitmap holds at most half as
-    many rows as the columns in range, and scans the columns otherwise or
-    when told not to walk. Each branch equals a row-by-row OR, dead rows
-    included, over every section, the whole row and empty ranges."""
+def test_or_rows_scans_columns_and_walk_rows_reads_rows():
+    """or_rows scans the columns in range with one slice of _cols, however
+    few rows the bitmap holds, and walk_rows reads each set row once. Both
+    equal a row-by-row OR, dead rows included, over every section, the
+    whole row and empty ranges."""
     layout = SdrLayout(16, 8, 4)
     width = layout.total
     c, lc = layout.class_bits, layout.location_bits + layout.class_bits
-    ranges = [(0, None), (0, c), (c, lc), (lc, None), (lc, width), (0, width),
-              (0, 0), (c, c), (width, width)]
+    ranges = [(0, c), (c, lc), (lc, width), (0, width), (0, 0), (c, c), (width, width)]
     rng = random.Random(17)
-    seen = set()
     for capacity in (64, 1000):
         mem, log = _spied_memory(layout, capacity, rng)
         for count in (0, 1, 2, 3, 4, 5, 8, 9, 14, 15, 16, 40, capacity):
             rows = _edge_rows(rng, capacity, count)
+            expected = 0
+            for i in rows_of(rows):
+                expected |= mem.rows[i]
+            log.clear()
+            assert mem.walk_rows(rows) == expected
+            assert log == ["walk"] * count
             for lo, hi in ranges:
-                span = (width if hi is None else hi) - lo
-                expected = 0
-                for i in rows_of(rows):
-                    expected |= mem.rows[i] >> lo & ((1 << span) - 1)
-                for walk in (True, False):
-                    log.clear()
-                    assert mem.or_rows(rows, lo, hi, walk) == expected
-                    branch = _branch(log)
-                    assert branch == ("walk" if walk and count * 2 <= span else "scan")
-                    seen.add((branch, span > 0))
-    assert seen == {("walk", True), ("walk", False), ("scan", True), ("scan", False)}
+                log.clear()
+                assert mem.or_rows(rows, lo, hi) == expected >> lo & ((1 << (hi - lo)) - 1)
+                assert log == ["scan"]
 
 
 def test_condense_matches_row_by_row_on_both_sides_of_the_walk(monkeypatch):
     """condense gives the row-by-row OR of the matched rows' sections, dead
     rows included, gated by kind, whether it walks the rows or scans the
-    columns. It counts the matched rows once: up to half as many rows as
-    the columns it outputs are walked once, each row read once, and every
-    output section is sliced from that OR; more rows scan the output
-    sections' columns, and none is counted again."""
+    columns. It counts the matched rows once, for both kinds: up to half as
+    many rows as the columns it outputs are walked once, each row read
+    once, and every output section is sliced from that OR; more rows have
+    or_rows scan the output sections' columns."""
     scans: list[tuple] = []
     or_rows = MemoryArray.or_rows
 
-    def or_rows_spy(self, rows, lo=0, hi=None, walk=True):
-        scans.append((lo, hi, walk))
-        return or_rows(self, rows, lo, hi, walk)
+    def or_rows_spy(self, rows, lo, hi):
+        scans.append((lo, hi))
+        return or_rows(self, rows, lo, hi)
     monkeypatch.setattr(MemoryArray, "or_rows", or_rows_spy)
 
     layout = SdrLayout(16, 8, 4)
@@ -415,22 +407,19 @@ def test_condense_matches_row_by_row_on_both_sides_of_the_walk(monkeypatch):
                         "locations": Bits(value >> c & ((1 << l) - 1), l),
                         "classes": Bits(value & ((1 << c) - 1), c)}
             # each kind's gated section, its output columns and the or_rows
-            # calls that scan them: PREDICT_FEATURE counts the rows itself
-            # and scans its two sections uncounted, PREDICT_LOCATION's one
-            # range lets or_rows count, then walk or scan
+            # calls that scan them: PREDICT_FEATURE's two sections are apart,
+            # PREDICT_LOCATION's two are one range
             for kind, gated, columns, calls in (
                     (CommandKind.PREDICT_FEATURE, "locations", f + c,
-                     [(l + c, None, False), (0, c, False)]),
-                    (CommandKind.PREDICT_LOCATION, "features", l + c,
-                     [(0, l + c, True)])):
+                     [(l + c, layout.total), (0, c)]),
+                    (CommandKind.PREDICT_LOCATION, "features", l + c, [(0, l + c)])):
                 log.clear()
                 scans.clear()
                 out = condense(matched, kind, mem)
                 assert out == PredictionOutput(**{**expected, gated: zero[gated]})
                 if count * 2 <= columns:
                     # one walk, each matched row read once
-                    assert log == ["walk"] * count
-                    assert scans == ([] if kind is CommandKind.PREDICT_FEATURE else calls)
+                    assert log == ["walk"] * count and scans == []
                     seen.add((kind, "walk"))
                 else:
                     # one slice of _cols per section range, no row read
@@ -510,7 +499,7 @@ def test_validate_with_no_valid_rows():
     mem = mem333("001|010|100")
     mem.valid = 0b1110
     classes = mem.micro_validate()
-    assert classes.is_zero
+    assert classes == Bits.zeros(3)
     assert not mem.valid & mem.occupied
 
 

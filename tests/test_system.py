@@ -11,6 +11,7 @@ from nertcam import (Bits, BusyError, CommandKind, ConfigError, Controller,
                      InputError, LayoutError, MacroCommand, NertcamConfig, Outcome,
                      PaddingMode, PredictionOutput, Response, SdrLayout,
                      StatusOut, System)
+from nertcam.prediction_map import zero_output
 from nertcam.state_machine import Completion
 from nertcam.traces import TraceRecord, record_to_command
 from nertcam.workload import fuzz_records
@@ -36,8 +37,8 @@ def store(system, text):
 
 def test_fresh_system_is_idle_and_empty():
     system = make_system()
-    st = system.status()
-    assert (st.busy, st.full, st.occupancy, st.last_outcome) == (False, False, 0, None)
+    assert (system.busy, system.memory.full, system.memory.occupancy,
+            system.response) == (False, False, 0, None)
 
 
 def test_full_scale_rows_are_165_bits():
@@ -134,7 +135,7 @@ def test_run_infer_unstored_pair_fails_in_four_cycles():
     resp = system.run(cmd(CommandKind.INFER, "100|001|000"))
     assert (resp.outcome, resp.cycles) == (Outcome.INFER_FAILED, 4)
     assert resp.error
-    assert resp.classes.is_zero
+    assert str(resp.classes) == "000"
 
 
 def test_run_delete_absent_triplet():
@@ -268,7 +269,7 @@ def test_non_predict_commands_share_one_zero_output():
     system = make_system()
     other = make_system()
     shared = system.run(cmd(CommandKind.RESET, "000|000|000")).prediction
-    assert shared.is_empty
+    assert shared == zero_output(L333)
     assert other.run(cmd(CommandKind.CLEAR, "000|000|000")).prediction is shared
     assert store(system, "001|010|100").prediction is shared
     infer = system.run(cmd(CommandKind.INFER, "001|010|000")).prediction
@@ -424,7 +425,7 @@ def test_value_object_constructors_set_every_field(monkeypatch):
     for build, count in [(lambda: Bits(1, 8), 1), (lambda: Bits(value=1, width=8), 1),
                          (lambda: dataclasses.replace(bits, value=3), 1),
                          (lambda: Bits.parse("0110"), 1), (lambda: Bits.zeros(4), 1),
-                         (lambda: bits | bits, 1), (lambda: L333.split(bits), 3),
+                         (lambda: L333.split(bits), 3),
                          (lambda: MacroCommand(CommandKind.RESET, bits), 0),
                          (lambda: PredictionOutput(bits, bits, bits), 0),
                          (lambda: Response(status, prediction, 1), 0)]:
@@ -447,7 +448,7 @@ def test_full_after_capacity_stores():
     resp = store(system, "001|100|010")
     assert resp.outcome is Outcome.SUCCESS
     assert resp.full  # pass-through: this store filled the last row
-    assert system.status().full
+    assert system.memory.full
 
 
 def test_busy_mid_infer():
@@ -455,10 +456,10 @@ def test_busy_mid_infer():
     store(system, "001|010|100")
     system.submit(cmd(CommandKind.INFER, "001|010|000"))
     system.step()
-    assert system.status().busy
+    assert system.busy
     while system.busy:
         system.step()
-    assert not system.status().busy
+    assert not system.busy
 
 
 def test_cycle_counter_accumulates_per_command_cycles():
@@ -487,7 +488,7 @@ def test_infer_response_carries_classes():
     resp = system.run(cmd(CommandKind.INFER, "001|010|000"))
     assert str(resp.classes) == "110"
     assert str(resp.prediction.classes) == "110"  # the one class output
-    assert resp.prediction.features.is_zero and resp.prediction.locations.is_zero
+    assert str(resp.prediction.features) == str(resp.prediction.locations) == "000"
 
 
 def test_predict_response_carries_prediction():
@@ -497,7 +498,7 @@ def test_predict_response_carries_prediction():
     resp = system.run(cmd(CommandKind.PREDICT_FEATURE, "000|010|000"))
     assert str(resp.prediction.features) == "101"
     assert str(resp.prediction.classes) == "110"
-    assert resp.prediction.locations.is_zero
+    assert str(resp.prediction.locations) == "000"
     assert resp.classes == resp.prediction.classes
 
 
@@ -507,7 +508,7 @@ def test_predict_location_output():
     store(system, "001|100|010")
     resp = system.run(cmd(CommandKind.PREDICT_LOCATION, "001|000|000"))
     assert str(resp.prediction.locations) == "110"
-    assert resp.prediction.features.is_zero
+    assert str(resp.prediction.features) == "000"
 
 
 def test_failed_prediction_is_all_zero():
@@ -515,7 +516,7 @@ def test_failed_prediction_is_all_zero():
     store(system, "001|010|100")
     resp = system.run(cmd(CommandKind.PREDICT_FEATURE, "000|001|000"))
     assert resp.outcome is Outcome.SUCCESS
-    assert resp.prediction.is_empty
+    assert resp.prediction == zero_output(L333)
 
 
 # --- identification end to end -----------------------------------------------------
