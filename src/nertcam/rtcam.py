@@ -10,10 +10,13 @@ valid bits with the match result. An empty row never matches anything.
 The array is held bit-sliced, as the match lines of CAM hardware see it:
 besides each row's triplet value it keeps one row bitmap per bit position
 (bit i set when row i holds a 1 there), and the valid and occupied bits as
-row bitmaps. A lookup ANDs together the columns of the query's cared
-1-positions, then drops the candidates that hold a 1 at a cared
-0-position, and a validate ORs the class columns of the classes it keeps.
-Each such operation on a row bitmap touches one bit per row.
+row bitmaps. The triplet values sit in one byte buffer, ceil(total / 8)
+bytes per row, big-endian: 21 bytes at the full-scale 163-bit layout, so
+a row takes no Python object of its own. A lookup ANDs together the
+columns of the query's cared 1-positions, then drops the candidates that
+hold a 1 at a cared 0-position, and a validate ORs the class columns of
+the classes it keeps. Each such operation on a row bitmap touches one bit
+per row.
 
 Three kinds of step walk a set of rows instead: dropping candidates by
 checking their rows, validate's union of the valid rows' classes, and
@@ -23,11 +26,13 @@ or past class_bits rows, the column OR takes over. or_rows always scans
 its columns; condense chooses between it and walk_rows with one popcount
 of its matched rows, and walks only a bitmap of at most half as many
 rows as the columns it would scan. Candidates that no cared 1-position
-narrowed skip the walk. So a micro-op costs a number of big-integer
-operations set by the layout width, not by the row count. Lookup and
-validate apply no popcount, negation or complement to a row bitmap: in
-CPython each of these runs over every digit of the bitmap, and the last
-two build a new one as well.
+narrowed skip the walk. Each walk step slices its row's bytes out of the
+buffer and converts them inline: a call to row() would add a method call
+and a range check, about half as much again as the read. So a micro-op
+costs a number of big-integer operations set by the layout width, not by
+the row count. Lookup and validate apply no popcount, negation or
+complement to a row bitmap: in CPython each of these runs over every
+digit of the bitmap, and the last two build a new one as well.
 
 Six single-cycle micro-ops drive the array: clear, reset, store, delete,
 lookup, validate. Sequencing between them belongs to the controller, not
@@ -40,6 +45,9 @@ from enum import Enum
 
 from .sdr import Bits, LayoutError, SdrLayout
 
+# bound once: the walks call it once per row read
+_from_bytes = int.from_bytes
+
 
 class LookupScope(Enum):
     """Row population a lookup considers: previously-valid rows, or all rows."""
@@ -50,11 +58,15 @@ class LookupScope(Enum):
 class MemoryArray:
     """Fixed-capacity bit-sliced array with the six micro-ops.
 
-    rows[i] is row i's triplet value; valid and occupied are row bitmaps
-    (bit i for row i). A cleared or deleted row keeps whatever bits it held
-    (they are dead; the occupied bit gates every match). Cleared rows report
-    valid=1 so a reset leaves the whole array uniform; this is unobservable
-    externally.
+    Row i's triplet value is the big-endian integer in bytes
+    [i * w, (i + 1) * w) of one bytearray, w = ceil(layout.total / 8) bytes
+    per row; the pad bits at the top of its first byte are always 0.
+    row(i) reads it; the micro-ops' row walks read the bytes inline.
+    valid and occupied are row bitmaps (bit i for row i), as is each of the
+    layout.total columns. A cleared or deleted row keeps whatever bits it
+    held (they are dead; the occupied bit gates every match). Cleared rows
+    report valid=1 so a reset leaves the whole array uniform; this is
+    unobservable externally.
 
     Single-writer: the controller serializes all micro-ops. Construction
     leaves the array cleared (every row empty, valid, zeroed).
@@ -63,10 +75,15 @@ class MemoryArray:
     def __init__(self, layout: SdrLayout, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self._shape(layout, capacity)
+        self.micro_clear()
+
+    def _shape(self, layout: SdrLayout, capacity: int) -> None:
+        """Set the dimensions; micro_clear or from_image sets the state."""
         self.layout = layout
         self.capacity = capacity
         self._all_rows = (1 << capacity) - 1
-        self.micro_clear()
+        self._row_bytes = (layout.total + 7) >> 3
 
     @property
     def full(self) -> bool:
@@ -77,12 +94,19 @@ class MemoryArray:
         """Number of non-empty rows. Instrumentation, not an architectural signal."""
         return self.occupied.bit_count()
 
+    def row(self, i: int) -> int:
+        """Row i's triplet value; raises IndexError outside 0..capacity-1."""
+        if not 0 <= i < self.capacity:
+            raise IndexError(f"row {i} out of range 0..{self.capacity - 1}")
+        w = self._row_bytes
+        return _from_bytes(self._rows[i * w:(i + 1) * w], "big")
+
     # --- micro-ops -------------------------------------------------------
 
     def micro_clear(self) -> None:
         """Drop all stored information: every row empty, valid, zeroed."""
-        self.rows = [0] * self.capacity
-        # _cols[k] has bit i set iff bit k of rows[i] is set
+        self._rows = bytearray(self.capacity * self._row_bytes)
+        # _cols[k] has bit i set iff bit k of row(i) is set
         self._cols = [0] * self.layout.total
         self.valid = self._all_rows
         self.occupied = 0
@@ -140,7 +164,8 @@ class MemoryArray:
         job: few candidates cost few checks, and many waste at most a
         quarter of the column OR.
         """
-        rows = self.rows
+        rows = self._rows
+        w = self._row_bytes
         budget = zeros.bit_count() >> 2
         left = match
         while left and budget:
@@ -148,7 +173,8 @@ class MemoryArray:
             i = left.bit_length() - 1
             row = 1 << i
             left ^= row
-            if rows[i] & zeros:
+            j = i * w
+            if _from_bytes(rows[j:j + w], "big") & zeros:
                 match ^= row
         if left:
             return self._drop_by_columns(match, zeros)
@@ -178,14 +204,16 @@ class MemoryArray:
         """
         c = self.layout.class_bits
         live = self.valid & self.occupied
-        rows = self.rows
+        rows = self._rows
+        w = self._row_bytes
         union = 0
         budget = c
         left = live
         while left and budget:
             budget -= 1
             i = left.bit_length() - 1
-            union |= rows[i]
+            j = i * w
+            union |= _from_bytes(rows[j:j + w], "big")
             left ^= 1 << i
         if left:
             # the class section is the lowest, so column k is class bit k
@@ -212,13 +240,16 @@ class MemoryArray:
         row = free & -free
         i = row.bit_length() - 1
         cols = self._cols
+        rows = self._rows
+        w = self._row_bytes
+        j = i * w
         value = triplet.value
-        changed = self.rows[i] ^ value
+        changed = _from_bytes(rows[j:j + w], "big") ^ value
         while changed:  # flip the columns where old and new row differ
             k = changed.bit_length() - 1
             cols[k] ^= row
             changed ^= 1 << k
-        self.rows[i] = value
+        rows[j:j + w] = value.to_bytes(w, "big")
         self.occupied |= row
         self.valid |= row
         return i
@@ -228,11 +259,13 @@ class MemoryArray:
 
         A lookup leaves exactly its matched rows valid, so after one this
         releases what it matched. Contents stay in place but are dead.
-        Returns the number of rows released.
+        Returns the released rows as a row bitmap. It is not counted here:
+        a popcount runs over every digit of the bitmap, and the controller
+        does not need the count.
         """
         released = self.valid & self.occupied
         self.occupied ^= released
-        return released.bit_count()
+        return released
 
     # --- reads and valid-bit bookkeeping ---------------------------------
 
@@ -256,11 +289,13 @@ class MemoryArray:
         """OR of the whole triplet values of the rows set in a row bitmap,
         read row by row, highest first: one step per row, so worth it only
         for a few rows."""
-        table = self.rows
+        table = self._rows
+        w = self._row_bytes
         value = 0
         while rows:
             i = rows.bit_length() - 1
-            value |= table[i]
+            j = i * w
+            value |= _from_bytes(table[j:j + w], "big")
             rows ^= 1 << i
         return value
 
@@ -269,11 +304,13 @@ class MemoryArray:
     def to_image(self) -> str:
         """One row per line: `index feature|location|class V E`. Bit-exact."""
         pretty = self.layout.pretty_value
+        rows = self._rows
+        w = self._row_bytes
         # row i's valid and empty bits, as characters indexed by i
         valid = format(self.valid, f"0{self.capacity}b")[::-1]
         empty = format(self._all_rows ^ self.occupied, f"0{self.capacity}b")[::-1]
-        lines = [f"{i} {pretty(row)} {v} {e}"
-                 for i, (row, v, e) in enumerate(zip(self.rows, valid, empty))]
+        lines = [f"{i} {pretty(_from_bytes(rows[j:j + w], 'big'))} {v} {e}"
+                 for i, (j, v, e) in enumerate(zip(range(0, len(rows), w), valid, empty))]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -292,7 +329,8 @@ class MemoryArray:
         lc = total - f
         location_mask = (1 << layout.location_bits) - 1
         class_mask = (1 << layout.class_bits) - 1
-        rows: list[int] = []
+        w = (total + 7) >> 3
+        packed: list[bytes] = []                      # each row's w bytes
         raws: list[str] = []                          # each row's bits, no '|'
         valid_text: list[str] = []
         occupied_text: list[str] = []
@@ -307,7 +345,7 @@ class MemoryArray:
             index, bits_text, v, e = parts
             if not (index.isascii() and index.isdigit()):
                 raise ValueError(f"image line {n}: index {index!r} is not an integer")
-            if int(index) != len(rows):
+            if int(index) != len(packed):
                 raise ValueError(f"image line {n}: index {index} out of order")
             if v not in ("0", "1") or e not in ("0", "1"):
                 raise ValueError(f"image line {n}: V/E must be 0 or 1")
@@ -338,16 +376,20 @@ class MemoryArray:
                 if class_v != v:
                     raise ValueError(f"image line {n}: valid bit {v} differs from image "
                                      f"line {class_line} of the same class")
-            rows.append(value)
+            packed.append(value.to_bytes(w, "big"))
             raws.append(raw)
             valid_text.append(v)
             occupied_text.append("1" if e == "0" else "0")
-        if not rows:
+        if not packed:
             raise ValueError("memory image has no rows")
-        mem = cls(layout, len(rows))
-        mem.rows = rows
+        # built once, without cls(): its micro_clear would allocate a row
+        # store and zero columns only for them to be replaced
+        mem = cls.__new__(cls)
+        mem._shape(layout, len(packed))
+        mem._rows = bytearray(b"".join(packed))
         mem.valid = int("".join(reversed(valid_text)), 2)
         mem.occupied = int("".join(reversed(occupied_text)), 2)
+        mem.valid_entry = False
         # transpose in one step: with the rows' bits joined last row first,
         # bit k of every row sits at stride total from total - 1 - k, and
         # the slice reads as column k, its highest row first. Leading zeros

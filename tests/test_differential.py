@@ -93,7 +93,7 @@ def _valid_rows_by_row_walk(memory, classes):
     occupied = memory.occupied
     while occupied:
         row = occupied & -occupied
-        if memory.rows[row.bit_length() - 1] & wanted:
+        if memory.row(row.bit_length() - 1) & wanted:
             expected |= row
         occupied ^= row
     return expected

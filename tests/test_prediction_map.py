@@ -106,7 +106,7 @@ def test_condense_matches_row_by_row_or_on_arbitrary_rows():
             mem.micro_delete()  # released rows keep their (dead) bits
             matched = rng.getrandbits(capacity) & mem.occupied
             union = 0
-            for i, row in enumerate(mem.rows):
+            for i, row in enumerate(map(mem.row, range(mem.capacity))):
                 if matched >> i & 1:
                     union |= row
             feature, location, class_ = layout.split(Bits(union, width))

@@ -1,7 +1,9 @@
 """Memory-array micro-ops: clear, reset, lookup, validate, store, delete."""
 
+import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -53,10 +55,10 @@ def test_clear_is_idempotent():
 def test_reset_restores_valid_bits_only():
     mem = mem333("001|010|100", "001|100|010", "010|001|001")
     mem.valid = 0b1010  # rows 0 and 2 invalid
-    before = list(mem.rows)
+    before = [mem.row(i) for i in range(4)]
     mem.micro_reset()
     assert mem.valid == 0b1111
-    assert mem.rows == before  # triplets untouched
+    assert [mem.row(i) for i in range(4)] == before  # triplets untouched
     mem.micro_reset()
     assert mem.valid == 0b1111
 
@@ -158,7 +160,7 @@ def test_lookup_matches_predicates_row_by_row(monkeypatch):
                 mem.valid = valid
                 match, hit = mem.micro_lookup(query, dc, scope)
                 expected = 0
-                for i, row in enumerate(mem.rows):
+                for i, row in enumerate(map(mem.row, range(mem.capacity))):
                     in_scope = mem.occupied >> i & 1 and (
                         scope is LookupScope.ALL or valid >> i & 1)
                     if in_scope and equality_match(Bits(row, width), query, dc):
@@ -174,12 +176,12 @@ def test_lookup_matches_predicates_row_by_row(monkeypatch):
                 query, dc = Bits(1 << k, width), Bits(ones ^ 1 << k, width)
                 if any(mem.occupied >> i & 1 and valid >> i & 1
                        and membership_match(Bits(row, width), query, dc)
-                       for i, row in enumerate(mem.rows)):
+                       for i, row in enumerate(map(mem.row, range(mem.capacity)))):
                     union |= 1 << k
             assert classes == Bits(union, layout.class_bits)
             query, dc = Bits(union, width), Bits(ones ^ union, width)
             closed = 0
-            for i, row in enumerate(mem.rows):
+            for i, row in enumerate(map(mem.row, range(mem.capacity))):
                 if mem.occupied >> i & 1 and membership_match(Bits(row, width), query, dc):
                     closed |= 1 << i
             assert mem.valid == closed
@@ -235,12 +237,13 @@ def test_read_paths_match_predicates_over_many_digits(monkeypatch):
             cases.append((_edge_rows(rng, capacity, rng.choice((1, 3, 4, 5, 40, capacity))),
                           rng.choice(list(LookupScope)),
                           rng.sample(range(width), rng.choice((2, 3, 6, 16, width))),
-                          rng.choice((0, rng.getrandbits(width), rng.choice(mem.rows)))))
+                          rng.choice((0, rng.getrandbits(width),
+                                      mem.row(rng.randrange(capacity))))))
         # row checks that drop the first or the last row: it holds the one
         # cared 1-position, and 1s at cared 0-positions
         for end in (0, capacity - 1):
             cases.append((_edge_rows(rng, capacity, 8), LookupScope.VALID_ONLY,
-                          range(width), 1 << (mem.rows[end].bit_length() - 1)))
+                          range(width), 1 << (mem.row(end).bit_length() - 1)))
         for valid, scope, cared, query in cases:
             dc = Bits(ones ^ sum(1 << k for k in cared), width)
             query = Bits(query, width)
@@ -250,7 +253,7 @@ def test_read_paths_match_predicates_over_many_digits(monkeypatch):
             expected = 0
             candidates = 0  # in-scope rows holding every cared 1-position
             cared_ones = query.value & ~dc.value
-            for i, row in enumerate(mem.rows):
+            for i, row in enumerate(map(mem.row, range(mem.capacity))):
                 in_scope = mem.occupied >> i & 1 and (
                     scope is LookupScope.ALL or valid >> i & 1)
                 if in_scope and equality_match(Bits(row, width), query, dc):
@@ -279,12 +282,12 @@ def test_read_paths_match_predicates_over_many_digits(monkeypatch):
             union = 0
             for k in range(layout.class_bits):
                 query, dc = Bits(1 << k, width), Bits(ones ^ 1 << k, width)
-                if any(membership_match(Bits(mem.rows[i], width), query, dc) for i in live):
+                if any(membership_match(Bits(mem.row(i), width), query, dc) for i in live):
                     union |= 1 << k
             assert classes == Bits(union, layout.class_bits)
             query, dc = Bits(union, width), Bits(ones ^ union, width)
             closed = 0
-            for i, row in enumerate(mem.rows):
+            for i, row in enumerate(map(mem.row, range(mem.capacity))):
                 if mem.occupied >> i & 1 and membership_match(Bits(row, width), query, dc):
                     closed |= 1 << i
             assert mem.valid == closed
@@ -315,13 +318,14 @@ def test_or_rows_matches_row_by_row_or_over_many_digits():
             span = hi - lo
             expected = 0
             for i in rows_of(rows):
-                expected |= mem.rows[i] >> lo & ((1 << span) - 1)
+                expected |= mem.row(i) >> lo & ((1 << span) - 1)
             assert mem.or_rows(rows, lo, hi) == expected
 
 
-class _ReadLog(list):
-    """A list that logs each read under one name, so that a test can tell
-    how the array was read: a walk reads rows, a scan _cols."""
+class _ReadLog:
+    """Logs each read under one name, so that a test can tell how the array
+    was read: a walk reads rows, a scan _cols. Mixed into the type it
+    stands in for."""
 
     def __init__(self, items, log, name):
         super().__init__(items)
@@ -333,9 +337,18 @@ class _ReadLog(list):
         return super().__getitem__(key)
 
 
+class _RowReadLog(_ReadLog, bytearray):
+    pass
+
+
+class _ColumnReadLog(_ReadLog, list):
+    pass
+
+
 def _spied_memory(layout, capacity, rng):
     """A memory of random rows, a tenth of them deleted (dead rows keep their
-    bits), with rows and _cols logging their reads; returns (memory, log)."""
+    bits), with the row store and _cols logging their reads; returns
+    (memory, log)."""
     width = layout.total
     mem = MemoryArray(layout, capacity)
     for _ in range(capacity):
@@ -343,8 +356,8 @@ def _spied_memory(layout, capacity, rng):
     mem.valid = sum(1 << i for i in rng.sample(range(capacity), capacity // 10))
     mem.micro_delete()
     log: list[str] = []
-    mem.rows = _ReadLog(mem.rows, log, "walk")
-    mem._cols = _ReadLog(mem._cols, log, "scan")
+    mem._rows = _RowReadLog(mem._rows, log, "walk")
+    mem._cols = _ColumnReadLog(mem._cols, log, "scan")
     return mem, log
 
 
@@ -364,7 +377,7 @@ def test_or_rows_scans_columns_and_walk_rows_reads_rows():
             rows = _edge_rows(rng, capacity, count)
             expected = 0
             for i in rows_of(rows):
-                expected |= mem.rows[i]
+                expected |= mem.row(i)
             log.clear()
             assert mem.walk_rows(rows) == expected
             assert log == ["walk"] * count
@@ -396,7 +409,7 @@ def test_condense_matches_row_by_row_on_both_sides_of_the_walk(monkeypatch):
     seen = set()
     for capacity in (64, 1000):
         mem, log = _spied_memory(layout, capacity, rng)
-        table = list(mem.rows)
+        table = [mem.row(i) for i in range(capacity)]
         # the thresholds are 10 rows (feature + class) and 6 (location + class)
         for count in (0, 1, 5, 6, 7, 9, 10, 11, 30, capacity):
             matched = _edge_rows(rng, capacity, count)
@@ -459,7 +472,7 @@ def test_validate_closure_oracle():
         mem.valid = rng.getrandbits(6)
 
         def klass(i):
-            return layout.split(Bits(mem.rows[i], 9))[2].hot_positions[0]
+            return layout.split(Bits(mem.row(i), 9))[2].hot_positions[0]
 
         union = {klass(i) for i in rows_of(mem.valid & mem.occupied)}
         classes = mem.micro_validate()
@@ -533,7 +546,7 @@ def test_store_then_exact_lookup_matches():
 def test_delete_clears_matched_rows():
     mem = mem333("001|010|100", "001|100|010")
     mem.micro_lookup(B("001|100|010"), Bits.zeros(9), LookupScope.ALL)
-    assert mem.micro_delete() == 1
+    assert mem.micro_delete().bit_count() == 1
     assert not mem.occupied >> 1 & 1
     assert mem.occupancy == 1
     _, hit = mem.micro_lookup(B("001|100|010"), Bits.zeros(9), LookupScope.ALL)
@@ -588,7 +601,7 @@ def test_occupancy_accounting_over_random_ops():
             match = lookup(t, Bits.zeros(9), LookupScope.ALL)
             if mem.valid_entry:
                 occupied = mem.occupied
-                live -= mem.micro_delete()
+                live -= mem.micro_delete().bit_count()
                 # exactly the matched rows were released
                 assert occupied & ~mem.occupied == match
             mem.micro_reset()
@@ -608,7 +621,7 @@ def test_occupancy_accounting_over_random_ops():
 def test_read_outputs_after_lookup():
     mem = mem333("001|010|100", "001|100|010")
     mem.micro_lookup(B("001|010|000"), B(INFER_DC))
-    assert [str(Bits(mem.rows[i], 9)) for i in rows_of(mem.matched_rows())] == ["001010100"]
+    assert [str(Bits(mem.row(i), 9)) for i in rows_of(mem.matched_rows())] == ["001010100"]
     assert mem.valid_entry
     assert not mem.full
 
@@ -639,8 +652,8 @@ def test_image_round_trip_is_bit_exact():
     assert restored.to_image() == image
     assert restored.capacity == 4
     assert restored.occupancy == 1
-    assert (restored.rows, restored.valid, restored.occupied) == \
-        (mem.rows, mem.valid, mem.occupied)
+    assert ([restored.row(i) for i in range(4)], restored.valid, restored.occupied) == \
+        ([mem.row(i) for i in range(4)], mem.valid, mem.occupied)
     assert restored._cols == mem._cols  # the transpose rebuilt every column
 
 
@@ -740,13 +753,88 @@ def test_image_round_trip_over_many_digits():
     for capacity in (300, 1000):
         text, rows = _random_image(rng, layout, capacity)
         mem = MemoryArray.from_image(text, layout)
-        assert mem.rows == [value for value, _, _ in rows]
+        assert [mem.row(i) for i in range(capacity)] == [value for value, _, _ in rows]
         assert mem.valid == sum(1 << i for i, (_, v, _) in enumerate(rows) if v == "1")
         assert mem.occupied == sum(1 << i for i, (_, _, e) in enumerate(rows) if e == "0")
         assert mem._cols == [sum((value >> k & 1) << i for i, (value, _, _) in enumerate(rows))
                              for k in range(layout.total)]
         assert 0 in mem._cols  # a column no row holds a 1 in
         assert mem.to_image() == text
+
+
+@pytest.mark.parametrize("layout", [SdrLayout(3, 2, 2), SdrLayout(4, 2, 2), SdrLayout(3, 3, 3),
+                                    SdrLayout(8, 4, 4), SdrLayout(9, 4, 4),
+                                    SdrLayout(128, 25, 10)],
+                         ids=lambda layout: f"{layout.total}bits")
+def test_row_store_is_exact_at_byte_boundaries(layout):
+    """Rows of 7, 8, 9, 16, 17 and 163 bits, packed into whole bytes: rows
+    of arbitrary bits are stored, a tenth deleted, and new values stored
+    over those dead rows. Every row reads back within the layout's width,
+    the columns are the rows' transpose (no pad bit of a row's first byte
+    reaches one), and an image round trip restores every row."""
+    width = layout.total
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    rng = random.Random(width)
+    capacity = 40
+    mem = MemoryArray(layout, capacity)
+    for _ in range(capacity):
+        mem.micro_store(Bits(rng.getrandbits(width), width))
+    dead = sorted(rng.sample(range(capacity), capacity // 10))
+    mem.valid = sum(1 << i for i in dead)
+    mem.micro_delete()
+    # distinct well-formed triplets, so that an image can hold them live
+    fresh: list[int] = []
+    for i in dead:
+        value = 0
+        while not value or value in fresh:
+            value = ((rng.getrandbits(f) or 1) << (l + c) | 1 << (c + rng.randrange(l))
+                     | 1 << rng.randrange(c))
+        fresh.append(value)
+        assert mem.micro_store(Bits(value, width)) == i
+    rows = [mem.row(i) for i in range(capacity)]
+    assert all(row >> width == 0 for row in rows)
+    assert [rows[i] for i in dead] == fresh
+    assert mem._cols == [sum((row >> k & 1) << i for i, row in enumerate(rows))
+                         for k in range(width)]
+    for i in (-1, capacity):
+        with pytest.raises(IndexError):
+            mem.row(i)
+    # live image rows must keep the device invariants: release the rows of
+    # arbitrary bits, which the image still holds as dead rows
+    mem.valid = mem.occupied ^ sum(1 << i for i in dead)
+    mem.micro_delete()
+    image = mem.to_image()
+    loaded = MemoryArray.from_image(image, layout)
+    assert loaded.to_image() == image
+    assert [loaded.row(i) for i in range(capacity)] == rows
+    assert (loaded._cols, loaded.valid, loaded.occupied) == (mem._cols, mem.valid, mem.occupied)
+
+
+def test_full_scale_array_holds_no_object_per_row():
+    """A 16,384-row array at the full-scale layout, loaded from an image of
+    16,000 live rows, holds at most 0.80 MB: 21 bytes a row in the row
+    store and 163 column bitmaps of 2 KB each. An int object per row would
+    add about 0.5 MB more."""
+    layout = SdrLayout(128, 25, 10)
+    capacity, live = 16384, 16000
+    pretty = layout.pretty_value
+    rng = random.Random(163)
+    # random features made distinct by their low bits, so that every column
+    # is dense; one-hot locations and classes, one V bit for all
+    values = [(rng.getrandbits(114) << 14 | i + 1) << 35 | 1 << (10 + i % 25) | 1 << i % 10
+              for i in range(live)]
+    lines = [f"{i} {pretty(value)} 1 0" for i, value in enumerate(values)]
+    lines += [f"{i} {pretty(0)} 1 1" for i in range(live, capacity)]
+    text = "\n".join(lines) + "\n"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mem = MemoryArray.from_image(text, layout)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (mem.capacity, mem.occupancy) == (capacity, live)
+    assert held <= 0.80e6, f"{held / 1e6:.3f} MB"
 
 
 def test_image_checks_only_non_empty_rows():

@@ -244,7 +244,7 @@ def test_predict_lookup_is_non_destructive():
     assert done.matched == 0
     done, _ = drive(ctrl, CommandKind.PREDICT_FEATURE, B("000|010|000"), PF_DC)
     assert done.matched == 0b0001
-    assert str(Bits(mem.rows[0], 9)) == "001010100"
+    assert str(Bits(mem.row(0), 9)) == "001010100"
     assert mem.valid == valid_before
 
 
