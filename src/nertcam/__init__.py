@@ -10,8 +10,7 @@ from .prediction_map import PredictionOutput, condense
 from .rtcam import LookupScope, MemoryArray
 from .sdr import (Bits, LayoutError, SdrLayout, concat, equality_match,
                   membership_match)
-from .state_machine import (Controller, ControllerState, CycleTrace, Outcome,
-                            StatusOut)
+from .state_machine import Controller, ControllerState, CycleTrace, Outcome
 from .system import (BusyError, ConfigError, DEFAULT_LAYOUT, NertcamConfig,
                      Response, System)
 
@@ -39,7 +38,6 @@ __all__ = [
     "PredictionOutput",
     "Response",
     "SdrLayout",
-    "StatusOut",
     "System",
     "build_dc",
     "concat",

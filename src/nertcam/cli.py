@@ -19,14 +19,15 @@ import random
 import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .lockstep import diff_records, oracle_for
-from .preprocess import LINEAR_1D, CommandKind, InputError, MacroCommand, PaddingMode
+from .preprocess import CommandKind, InputError, MacroCommand, PaddingMode
 from .rtcam import LookupScope
 from .sdr import Bits, LayoutError, SdrLayout
 from .system import DEFAULT_LAYOUT, NertcamConfig, System
-from .traces import ParseError, TraceRecord, load_config, load_trace
+from .traces import ParseError, TraceRecord, config_from_json, load_config, load_trace
 from .workload import (fuzz_records, generate_dataset, infer_trace,
                        replay_records, store_trace)
 
@@ -125,22 +126,19 @@ def _layout(text: str | None) -> SdrLayout:
 
 
 def build_config(args: argparse.Namespace) -> NertcamConfig:
-    """Config file first, then flag overrides."""
-    if args.config:
-        config = load_config(args.config)
-        layout, capacity = config.layout, config.capacity
-        mode, khot = config.padding_mode, config.khot_features
-    else:
-        layout, capacity, mode, khot = DEFAULT_LAYOUT, 1024, LINEAR_1D, False
+    """Config file first (config_from_json's defaults without one), then
+    flag overrides."""
+    config = load_config(args.config) if args.config else config_from_json("{}")
+    overrides: dict[str, object] = {}
     if args.layout is not None:
-        layout = _layout(args.layout)
+        overrides["layout"] = _layout(args.layout)
     if args.entries is not None:
-        capacity = args.entries
+        overrides["capacity"] = args.entries
     if args.grid is not None:
-        mode = PaddingMode.grid(*_parse_ints(args.grid, 2, "--grid"))
-    khot = khot or args.khot
-    config = NertcamConfig(layout=layout, capacity=capacity, padding_mode=mode,
-                           khot_features=khot)
+        overrides["padding_mode"] = PaddingMode.grid(*_parse_ints(args.grid, 2, "--grid"))
+    if args.khot:
+        overrides["khot_features"] = True
+    config = replace(config, **overrides)
     config.validate()
     return config
 
@@ -182,8 +180,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_config(args)
     records = _load_records(args.trace)
     system = System(config)
-    _, summary = replay_records(system, records, emit=print,
-                                trace_cycles=args.trace_cycles)
+    summary = replay_records(system, records, print, trace_cycles=args.trace_cycles)
     print(json.dumps({"summary": summary.to_dict()}, sort_keys=True,
                      separators=(",", ":")))
     return 1 if summary.input_errors else 0

@@ -68,10 +68,14 @@ class PaddingMode:
     rows: int = 0
     cols: int = 0
 
+    def __post_init__(self) -> None:
+        # (0, 0) is the line; any other pair must be a grid of at least 1x1
+        if (self.rows, self.cols) != (0, 0) and (self.rows < 1 or self.cols < 1):
+            raise LayoutError(
+                f"grid dimensions must be positive, got {self.rows}x{self.cols}")
+
     @classmethod
     def grid(cls, rows: int, cols: int) -> PaddingMode:
-        if rows < 1 or cols < 1:
-            raise LayoutError(f"grid dimensions must be positive, got {rows}x{cols}")
         return cls(rows, cols)
 
     @property

@@ -75,15 +75,6 @@ _INFER_FAILED = Outcome.INFER_FAILED
 _ALL, _VALID_ONLY = LookupScope.ALL, LookupScope.VALID_ONLY
 
 
-@dataclass(frozen=True, slots=True)
-class StatusOut:
-    """Status signals reported back to the agent for one command."""
-
-    outcome: Outcome
-    error: bool
-    full: bool
-
-
 class CycleTrace(NamedTuple):
     """One clock cycle of controller activity, for trace output.
 

@@ -15,7 +15,7 @@ and point it at the new memory.
 
 The per-command path is kept lean, because with the array bit-sliced the
 Python calls around it cost more than the array operations. The value
-objects a command builds (Bits, MacroCommand, Completion, StatusOut,
+objects a command builds (Bits, MacroCommand, Completion,
 PredictionOutput, Response) are slotted dataclasses. Bits, MacroCommand,
 PredictionOutput and Response, frozen and built on every command, have a
 hand-written __init__ that sets each slot through its member descriptor's
@@ -41,19 +41,11 @@ from .preprocess import (LINEAR_1D, MacroCommand, PaddingMode, build_dc,
 from .prediction_map import PredictionOutput, condense, zero_output
 from .rtcam import MemoryArray
 from .sdr import Bits, SdrLayout
-from .state_machine import (Controller, CycleTrace, ERROR_OUTCOMES, Outcome,
-                            StatusOut)
+from .state_machine import Controller, CycleTrace, ERROR_OUTCOMES, Outcome
 
 #: Section widths used for the benchmark-scale configuration (165-bit rows
 #: once the valid and empty bits are counted).
 DEFAULT_LAYOUT = SdrLayout(feature_bits=128, location_bits=25, class_bits=10)
-
-
-#: The ten possible status values, indexed [full][outcome] and shared by
-#: every Response; error is set for exactly the ERROR_OUTCOMES.
-_STATUS = tuple({outcome: StatusOut(outcome, outcome in ERROR_OUTCOMES, full)
-                 for outcome in Outcome}
-                for full in (False, True))
 
 
 class ConfigError(ValueError):
@@ -83,16 +75,21 @@ class NertcamConfig:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Response:
-    """Per-command result: status, k-hot outputs, and the cycle count."""
+    """Per-command result: outcome and full flag, k-hot outputs, and the
+    cycle count."""
 
-    status: StatusOut
+    outcome: Outcome
+    # the array held no empty row once the command finished
+    full: bool
     # k-hot outputs; classes are INFER's validated classes or PREDICT's
     # condensed ones, features and locations are PREDICT's
     prediction: PredictionOutput
     cycles: int
 
-    def __init__(self, status: StatusOut, prediction: PredictionOutput, cycles: int) -> None:
-        _response_status(self, status)
+    def __init__(self, outcome: Outcome, full: bool, prediction: PredictionOutput,
+                 cycles: int) -> None:
+        _response_outcome(self, outcome)
+        _response_full(self, full)
         _response_prediction(self, prediction)
         _response_cycles(self, cycles)
 
@@ -101,19 +98,13 @@ class Response:
         return self.prediction.classes
 
     @property
-    def outcome(self) -> Outcome:
-        return self.status.outcome
-
-    @property
     def error(self) -> bool:
-        return self.status.error
-
-    @property
-    def full(self) -> bool:
-        return self.status.full
+        """The error status bit: set for exactly the ERROR_OUTCOMES."""
+        return self.outcome in ERROR_OUTCOMES
 
 
-_response_status = Response.status.__set__
+_response_outcome = Response.outcome.__set__
+_response_full = Response.full.__set__
 _response_prediction = Response.prediction.__set__
 _response_cycles = Response.cycles.__set__
 
@@ -182,7 +173,6 @@ class System:
         done = self.controller.completion
         self.controller.completion = None
         memory = self.memory
-        status = _STATUS[memory.full][done.outcome]
         if done.matched is not None:  # a PREDICT's lookup
             prediction = condense(done.matched, done.kind, memory)
         else:
@@ -190,7 +180,7 @@ class System:
             if done.classes is not None:  # an INFER's validated classes
                 prediction = PredictionOutput(prediction.features, prediction.locations,
                                               done.classes)
-        self.response = Response(status, prediction, done.cycles)
+        self.response = Response(done.outcome, memory.full, prediction, done.cycles)
         return self.response
 
     # --- memory images -----------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .lockstep import response_view
 from .preprocess import _SHAPES, _ZERO, CommandKind, InputError
@@ -198,9 +199,11 @@ def _record_report(seq: int, rec: TraceRecord, resp: Response | None,
     return rep
 
 
-def replay_records(system: System, records: list[TraceRecord],
-                   emit=None, trace_cycles: bool = False) -> tuple[list[dict], ReplaySummary]:
-    """Replay a trace; input errors are reported per record and do not stop the run.
+def replay_records(system: System, records: list[TraceRecord], emit: Callable[[str], None],
+                   trace_cycles: bool = False) -> ReplaySummary:
+    """Replay a trace, passing each record's report line (and, with
+    trace_cycles, each cycle's line before it) to emit; input errors are
+    reported per record and do not stop the run.
 
     Identification accounting: sensations count INFERs since the current
     identification began; an identification completes at the first one-hot
@@ -211,7 +214,6 @@ def replay_records(system: System, records: list[TraceRecord],
     summary = ReplaySummary()
     sensations = 0
     identified = False
-    reports = []
     for seq, rec in enumerate(records):
         summary.records += 1
         try:
@@ -220,13 +222,12 @@ def replay_records(system: System, records: list[TraceRecord],
                 system.submit(cmd)
                 while system.busy:
                     t = system.step()
-                    if emit and t:
-                        emit(json.dumps({
-                            "cycle": t.cycle, "from": t.state_from.value,
-                            "to": t.state_to.value, "micro_op": t.micro_op,
-                            "valid_entry": t.valid_entry,
-                            "outcome": t.outcome.value if t.outcome else None,
-                        }, sort_keys=True, separators=(",", ":")))
+                    emit(json.dumps({
+                        "cycle": t.cycle, "from": t.state_from.value,
+                        "to": t.state_to.value, "micro_op": t.micro_op,
+                        "valid_entry": t.valid_entry,
+                        "outcome": t.outcome.value if t.outcome else None,
+                    }, sort_keys=True, separators=(",", ":")))
                 resp = system.response
             else:
                 resp = system.run(cmd)
@@ -258,7 +259,5 @@ def replay_records(system: System, records: list[TraceRecord],
                 sensations = 0
                 identified = False
             rep = _record_report(seq, rec, resp)
-        reports.append(rep)
-        if emit:
-            emit(json.dumps(rep, sort_keys=True, separators=(",", ":")))
-    return reports, summary
+        emit(json.dumps(rep, sort_keys=True, separators=(",", ":")))
+    return summary

@@ -246,6 +246,34 @@ def test_diff_with_config_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["records"] == 500
 
 
+def test_run_without_config_builds_the_empty_config_files_device(tmp_path, capsys,
+                                                                  monkeypatch):
+    """run with no --config and run with a {} config file build equal
+    devices, with or without flag overrides."""
+    import nertcam.cli as cli_mod
+    from nertcam import DEFAULT_LAYOUT, NertcamConfig, PaddingMode, System
+
+    built = []
+
+    def spy(config):
+        built.append(config)
+        return System(config)
+
+    monkeypatch.setattr(cli_mod, "System", spy)
+    trace = tmp_path / "one.trace"
+    trace.write_text('{"op":"RESET"}\n')
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    flags = ["--layout", "4,9,4", "--entries", "8", "--grid", "3,3", "--khot"]
+    for extra in ([], flags):
+        for config in ([], ["--config", str(empty)]):
+            assert main(["run", "--trace", str(trace), *config, *extra]) == 0
+    capsys.readouterr()
+    assert built[0] == built[1] == NertcamConfig(DEFAULT_LAYOUT, 1024)
+    assert built[2] == built[3] == NertcamConfig(
+        SdrLayout(4, 9, 4), 8, PaddingMode.grid(3, 3), khot_features=True)
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--ops", "-5"], "--ops must be >= 1, got -5"),
     (["--ops", "0"], "--ops must be >= 1, got 0"),

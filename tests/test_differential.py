@@ -7,8 +7,7 @@ from dataclasses import replace
 import pytest
 
 from nertcam import (AbstractResponse, Bits, MemoryArray, NertcamConfig, Outcome,
-                     PaddingMode, PredictionOutput, Response, SdrLayout, StatusOut,
-                     System)
+                     PaddingMode, PredictionOutput, Response, SdrLayout, System)
 from nertcam.lockstep import diff_records, mismatches, oracle_for, valid_bits_mirror
 from nertcam.traces import TraceRecord
 from nertcam.workload import fuzz_records
@@ -129,7 +128,7 @@ def test_valid_bits_mirror_matches_row_walk():
 
 def _agreeing_pair():
     """A hand-built device Response and the oracle answer that matches it."""
-    resp = Response(StatusOut(Outcome.SUCCESS, False, False),
+    resp = Response(Outcome.SUCCESS, False,
                     PredictionOutput(Bits.from_positions(4, [1, 2]),
                                      Bits.from_positions(4, [3]),
                                      Bits.from_positions(4, [0])), cycles=3)

@@ -3,9 +3,9 @@
 import pytest
 
 from nertcam import (Bits, CommandKind, InputError, LayoutError, MacroCommand,
-                     PaddingMode, SdrLayout, build_dc, concat, equality_match,
-                     padding_window, validate_command)
-from nertcam.preprocess import _SHAPES, _check_section
+                     NertcamConfig, PaddingMode, SdrLayout, System, build_dc, concat,
+                     equality_match, padding_window, validate_command)
+from nertcam.preprocess import LINEAR_1D, _SHAPES, _check_section
 
 
 
@@ -203,6 +203,20 @@ def test_grid_window_requires_matching_dimensions():
     from nertcam import LayoutError
     with pytest.raises(LayoutError):
         padding_window(Bits.one_hot(9, 4), 1, PaddingMode.grid(2, 3))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 5), (5, 0), (-1, -25), (0, -3), (-1, 5), (3, -2)])
+def test_malformed_padding_mode_is_rejected(rows, cols):
+    """Only (0, 0), the line, or a grid of at least 1x1 builds; the
+    constructor and grid() alike refuse anything else, so a malformed mode
+    never reaches a device as a line."""
+    for build in (PaddingMode, PaddingMode.grid):
+        with pytest.raises(LayoutError, match=f"got {rows}x{cols}"):
+            build(rows, cols)
+    with pytest.raises(LayoutError):
+        System(NertcamConfig(SdrLayout(4, 25, 4), 16, PaddingMode(rows, cols)))
+    assert not PaddingMode().is_grid and PaddingMode() == LINEAR_1D
+    assert PaddingMode(1, 1).is_grid and PaddingMode.grid(5, 5) == PaddingMode(5, 5)
 
 
 def test_linear_window_is_contiguous_and_contains_hot():

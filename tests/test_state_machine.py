@@ -1,10 +1,13 @@
 """Controller sequencing: per-command cycle counts, state paths, busy rule,
 and the error taxonomy."""
 
+import re
+
 import pytest
 
-from nertcam import (Bits, CommandKind, Controller, ControllerState,
-                     CycleTrace, MemoryArray, Outcome, SdrLayout)
+from nertcam import (Bits, CommandKind, Controller, ControllerState, CycleTrace,
+                     MacroCommand, MemoryArray, NertcamConfig, Outcome, SdrLayout,
+                     System, state_machine)
 
 L333 = SdrLayout(3, 3, 3)
 ZERO_DC = Bits.zeros(9)
@@ -257,3 +260,104 @@ def test_cycle_trace_is_a_named_tuple_of_the_cycle_fields():
                                  "valid_entry", "outcome")
     assert type(traces[0]) is CycleTrace
     assert (traces[0].micro_op, traces[0].outcome) == ("reset", Outcome.SUCCESS)
+
+
+# --- the docstring's cycle table, executed ------------------------------------------
+
+#: command-column names that are not a CommandKind's own
+_TABLE_KINDS = {"PREDICT_F": CommandKind.PREDICT_FEATURE,
+                "_L": CommandKind.PREDICT_LOCATION}
+
+#: one stream on a two-row device that reaches every row of the table:
+#: A stored, then B, fills the array; C then finds no empty row
+_TABLE_SCRIPT = [
+    (CommandKind.CLEAR, "000|000|000"),
+    (CommandKind.RESET, "000|000|000"),
+    (CommandKind.PREDICT_FEATURE, "000|010|000"),
+    (CommandKind.PREDICT_LOCATION, "001|000|000"),
+    (CommandKind.STORE, "001|010|100"),       # A: stored
+    (CommandKind.STORE, "001|010|100"),       # A again: duplicate
+    (CommandKind.DELETE, "010|100|010"),      # B: absent
+    (CommandKind.STORE, "010|100|010"),       # B: stored, array full
+    (CommandKind.STORE, "100|001|001"),       # C: no empty row
+    (CommandKind.INFER, "001|010|000"),       # hit: valid narrows to A
+    (CommandKind.INFER, "010|100|000"),       # miss in A, hit in all: B
+    (CommandKind.INFER, "100|100|000"),       # miss everywhere
+    (CommandKind.DELETE, "001|010|100"),      # A: deleted
+]
+
+
+def _table_rows():
+    """The module docstring's cycle table: (state, kinds, branch, micro-op,
+    next, results) per row. A result is (outcome, cycles, full); one with no
+    count of its own keeps the count of the result before it."""
+    lines = state_machine.__doc__.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.lstrip().startswith("-----"))
+    starts = [m.start() for m in re.finditer(r"-+", lines[rule])]
+    cells = []
+    for line in lines[rule + 1:]:
+        if not line.strip():
+            break
+        row = [line[a:b].strip() for a, b in zip(starts, starts[1:] + [None])]
+        if row[0]:
+            cells.append(row)
+        else:  # the row above's result, continued
+            cells[-1][4] += " " + row[4]
+    rows = []
+    for state, command, micro_op, next_state, result in cells:
+        *names, branch = command.split()
+        if branch not in ("V", "NV"):
+            names, branch = [*names, branch], None
+        kinds = [_TABLE_KINDS.get(name) or CommandKind[name]
+                 for name in " ".join(names).split(" / ")]
+        results, cycles = [], None
+        for alternative in filter(None, result.split(", or ")):
+            m = re.fullmatch(r"(\w+)(?: \((\d+)(?: cycles?)?\))?( \+ full)?", alternative)
+            assert m, alternative
+            cycles = int(m[2]) if m[2] else cycles
+            results.append((Outcome[m[1].upper()], cycles, bool(m[3])))
+        rows.append((state, kinds, branch, re.match(r"[a-z]+", micro_op)[0],
+                     next_state, results))
+    return rows
+
+
+def _applies(outcome, kind):
+    """A failure outcome names the one kind that can end in it."""
+    return not outcome.value.endswith("_FAILED") or outcome.value.startswith(kind.value)
+
+
+def test_cycle_table_holds_on_a_device():
+    """Every row of the cycle table, for each command it names, is reached by
+    a device driven through submit() and step(); each cycle there runs the
+    row's micro-op into the row's next state, and a finishing row's command
+    ends with one of the row's results, each of which is seen."""
+    rows = _table_rows()
+    assert len(rows) == 15
+    system = System(NertcamConfig(L333, capacity=2))
+    observed = []
+    for kind, text in _TABLE_SCRIPT:
+        assert system.submit(MacroCommand(kind, B(text)))
+        while system.busy:
+            branch = "V" if system.memory.valid_entry else "NV"
+            trace = system.step()
+            observed.append((trace, kind, branch, system.response))
+    for state, kinds, branch, micro_op, next_state, results in rows:
+        for kind in kinds:
+            row = (state, kind.value, branch)
+            matches = [(trace, resp) for trace, k, b, resp in observed
+                       if trace.state_from.value == state and k is kind
+                       and branch in (None, b)]
+            assert matches, row
+            expected = {r[0]: r for r in results if _applies(r[0], kind)}
+            seen = set()
+            for trace, resp in matches:
+                assert (trace.micro_op, trace.state_to.value) == (micro_op, next_state), row
+                if not expected:
+                    assert trace.outcome is None and resp is None, row
+                    continue
+                assert resp is not None and trace.outcome is resp.outcome, row
+                outcome, cycles, full = expected.get(resp.outcome, (None, None, False))
+                assert (resp.outcome, resp.cycles) == (outcome, cycles), row
+                assert resp.full or not full, row
+                seen.add(outcome)
+            assert seen == set(expected), row

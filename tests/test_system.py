@@ -9,8 +9,7 @@ import pytest
 
 from nertcam import (Bits, BusyError, CommandKind, ConfigError, Controller,
                      InputError, LayoutError, MacroCommand, NertcamConfig, Outcome,
-                     PaddingMode, PredictionOutput, Response, SdrLayout,
-                     StatusOut, System)
+                     PaddingMode, PredictionOutput, Response, SdrLayout, System)
 from nertcam.prediction_map import zero_output
 from nertcam.state_machine import Completion
 from nertcam.traces import TraceRecord, record_to_command
@@ -276,8 +275,8 @@ def test_non_predict_commands_share_one_zero_output():
     assert str(infer.classes) == "100"
     assert infer.features is shared.features and infer.locations is shared.locations
 
-    # two responses with one outcome and full flag carry one StatusOut,
-    # whether the command went through run() or submit() and step()
+    # a response's outcome, error bit and full flag are alike whether the
+    # command went through run() or submit() and step()
     ran, stepped = make_system(capacity=1), make_system(capacity=1)
 
     def step_through(command):
@@ -286,24 +285,25 @@ def test_non_predict_commands_share_one_zero_output():
             pass
         return stepped.response
 
+    def status(resp):
+        return resp.outcome, resp.error, resp.full
+
     reset = cmd(CommandKind.RESET, "000|000|000")
-    first = ran.run(reset).status
-    assert ran.run(reset).status is first
-    assert step_through(reset).status is first
-    assert first.outcome is Outcome.SUCCESS and not first.error and not first.full
+    assert status(ran.run(reset)) == status(step_through(reset)) == (
+        Outcome.SUCCESS, False, False)
     for device in (ran, stepped):
         store(device, "001|010|100")
-    failed = [ran.run(cmd(CommandKind.STORE, "001|010|100")).status,
-              step_through(cmd(CommandKind.STORE, "001|010|100")).status,
-              ran.run(cmd(CommandKind.STORE, "010|010|100")).status]
-    assert failed[0] is failed[1] is failed[2]
-    assert failed[0].outcome is Outcome.STORE_FAILED and failed[0].error and failed[0].full
-    assert ran.run(reset).status is step_through(reset).status is not first
+    failed = [ran.run(cmd(CommandKind.STORE, "001|010|100")),
+              step_through(cmd(CommandKind.STORE, "001|010|100")),
+              ran.run(cmd(CommandKind.STORE, "010|010|100"))]
+    assert [status(r) for r in failed] == [(Outcome.STORE_FAILED, True, True)] * 3
+    assert status(ran.run(reset)) == status(step_through(reset)) == (
+        Outcome.SUCCESS, False, True)
 
 
 def test_clear_reset_store_delete_build_no_bits(monkeypatch):
     """Once each kind has run, CLEAR, RESET, STORE and DELETE build no Bits:
-    their masks, zero outputs and status values are all shared."""
+    their masks and zero outputs are shared."""
     system = make_system(capacity=8)
     config = system.config
     for rec in fuzz_records(config.layout, 200, seed=5):
@@ -329,13 +329,11 @@ def test_clear_reset_store_delete_build_no_bits(monkeypatch):
 def _value_objects(x):
     """One of each slotted per-command value object; x (0 or 1) sets one field."""
     bits = Bits.parse("001010100")
-    status = StatusOut(Outcome.SUCCESS, False, False)
     prediction = PredictionOutput(Bits.zeros(3), Bits.zeros(3), Bits.parse("100"))
     return [Bits(0b001010100 ^ x, 9),
             MacroCommand(CommandKind.STORE, L333.triplet(2, 1, 0), padding=x),
-            StatusOut(Outcome.SUCCESS, False, bool(x)),
             PredictionOutput(Bits(0, 3), Bits(x, 3), Bits(0b100, 3)),
-            Response(status, prediction, 2 + x),
+            Response(Outcome.SUCCESS, bool(x), prediction, 2 + x),
             TraceRecord(op="STORE", feature=2, location=1, class_=0, line=x),
             Completion(CommandKind.INFER, bits, Bits.zeros(9), cycles=2 + x)]
 
@@ -372,15 +370,14 @@ def test_value_object_constructors_set_every_field(monkeypatch):
     still checks its range and runs __post_init__ once per object built."""
     bits = Bits.parse("001010100")
     prediction = PredictionOutput(Bits.zeros(3), Bits(0b010, 3), Bits(0b100, 3))
-    status = StatusOut(Outcome.SUCCESS, False, False)
     cases = [
         (Bits, (0b001010100, 9), (0b1, 12)),
         (MacroCommand, (CommandKind.PREDICT_FEATURE, bits, 2),
          (CommandKind.STORE, Bits.zeros(9), 0)),
         (PredictionOutput, (Bits.zeros(3), Bits(0b010, 3), Bits(0b100, 3)),
          (Bits(0b001, 3), Bits.zeros(3), Bits.zeros(3))),
-        (Response, (status, prediction, 3),
-         (StatusOut(Outcome.INFER_FAILED, True, True),
+        (Response, (Outcome.SUCCESS, False, prediction, 3),
+         (Outcome.INFER_FAILED, True,
           PredictionOutput(Bits.zeros(3), Bits.zeros(3), Bits.zeros(3)), 1)),
     ]
     for cls, args, other_args in cases:
@@ -428,7 +425,7 @@ def test_value_object_constructors_set_every_field(monkeypatch):
                          (lambda: L333.split(bits), 3),
                          (lambda: MacroCommand(CommandKind.RESET, bits), 0),
                          (lambda: PredictionOutput(bits, bits, bits), 0),
-                         (lambda: Response(status, prediction, 1), 0)]:
+                         (lambda: Response(Outcome.SUCCESS, False, prediction, 1), 0)]:
         built = 0
         build()
         assert built == count
@@ -449,6 +446,34 @@ def test_full_after_capacity_stores():
     assert resp.outcome is Outcome.SUCCESS
     assert resp.full  # pass-through: this store filled the last row
     assert system.memory.full
+
+
+def test_response_fields_and_error_bit():
+    """A Response holds outcome, full, prediction and cycles; its error bit
+    is set for exactly the failed outcomes, through run() and step() alike."""
+    assert [f.name for f in dataclasses.fields(Response)] == [
+        "outcome", "full", "prediction", "cycles"]
+    script = [("001|010|100", CommandKind.STORE, Outcome.SUCCESS),
+              ("001|010|100", CommandKind.STORE, Outcome.STORE_FAILED),
+              ("010|100|001", CommandKind.DELETE, Outcome.DELETE_FAILED),
+              ("010|001|010", CommandKind.STORE, Outcome.SUCCESS),
+              ("001|010|000", CommandKind.INFER, Outcome.SUCCESS),
+              ("010|001|000", CommandKind.INFER, Outcome.CONTEXT_SWITCH),
+              ("100|100|000", CommandKind.INFER, Outcome.INFER_FAILED)]
+    failed = {Outcome.STORE_FAILED, Outcome.DELETE_FAILED, Outcome.INFER_FAILED}
+    ran, stepped = make_system(), make_system()
+    seen = set()
+    for text, kind, outcome in script:
+        command = cmd(kind, text)
+        by_run = ran.run(command)
+        assert stepped.submit(command)
+        while stepped.step() is not None:
+            pass
+        for resp in (by_run, stepped.response):
+            assert resp.outcome is outcome
+            assert resp.error is (outcome in failed)
+        seen.add(outcome)
+    assert seen == set(Outcome)
 
 
 def test_busy_mid_infer():
