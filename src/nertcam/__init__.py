@@ -5,11 +5,10 @@ infer, and predict commands over masked parallel lookups.
 
 from .oracle import AbstractResponse, Oracle
 from .preprocess import (CommandKind, InputError, MacroCommand, PaddingMode,
-                         build_dc, padding_window, validate_command)
+                         build_dc, validate_command)
 from .prediction_map import PredictionOutput, condense
 from .rtcam import LookupScope, MemoryArray
-from .sdr import (Bits, LayoutError, SdrLayout, concat, equality_match,
-                  membership_match)
+from .sdr import Bits, LayoutError, SdrLayout, concat
 from .state_machine import Controller, ControllerState, CycleTrace, Outcome
 from .system import (BusyError, ConfigError, DEFAULT_LAYOUT, NertcamConfig,
                      Response, System)
@@ -42,8 +41,5 @@ __all__ = [
     "build_dc",
     "concat",
     "condense",
-    "equality_match",
-    "membership_match",
-    "padding_window",
     "validate_command",
 ]

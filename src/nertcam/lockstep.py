@@ -28,20 +28,21 @@ def oracle_for(config: NertcamConfig) -> Oracle:
 
 
 def response_view(resp: Response) -> dict[str, object]:
-    """A Response's outputs as report values; the oracle's have the same keys."""
+    """A Response's outputs and cycle count as report values; the oracle's
+    have the same keys."""
     prediction = resp.prediction
     return {"outcome": resp.outcome.value,
             "classes": list(prediction.classes.hot_positions),
             "features": list(prediction.features.hot_positions),
             "locations": list(prediction.locations.hot_positions),
-            "full": resp.full}
+            "full": resp.full, "cycles": resp.cycles}
 
 
 def oracle_view(abst: AbstractResponse) -> dict[str, object]:
     """An oracle response as response_view renders a Response."""
     return {"outcome": abst.outcome.value, "classes": sorted(abst.classes),
             "features": sorted(abst.features), "locations": sorted(abst.locations),
-            "full": abst.full}
+            "full": abst.full, "cycles": abst.cycles}
 
 
 def _render(view: dict[str, object]) -> str:

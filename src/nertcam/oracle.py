@@ -1,11 +1,13 @@
 """Golden reference model with plain set semantics, for differential testing.
 
 State is a set of (feature, location, class) index triplets plus the set of
-currently valid classes. No bit masks, no match vectors, no cycles: each
-command is applied abstractly, so a matching bug in the bit-level device
-would have to be reinvented here in set form to go unnoticed. The only
-shared surface is the canonical SDR text rendering, which the oracle parses
-with its own substring arithmetic.
+currently valid classes. No bit masks, no match vectors: each command is
+applied abstractly, so a matching bug in the bit-level device would have to
+be reinvented here in set form to go unnoticed. The only shared surface is
+the canonical SDR text rendering, which the oracle parses with its own
+substring arithmetic. Each command branch states its cycle count as its own
+literal, taken from the cycle table and not from the controller, so a
+controller that takes a different path to the same answer diverges too.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from .state_machine import Outcome
 
 @dataclass(frozen=True)
 class AbstractResponse:
-    """Outcome plus index-set outputs, comparable field-by-field to a Response."""
+    """Outcome, index-set outputs and cycle count, comparable field-by-field
+    to a Response."""
 
     outcome: Outcome
     classes: frozenset[int]
     features: frozenset[int]
     locations: frozenset[int]
     full: bool
+    cycles: int
 
 
 class Oracle:
@@ -69,11 +73,12 @@ class Oracle:
         r2, c2 = divmod(query_loc, cols)
         return max(abs(r1 - r2), abs(c1 - c2)) <= padding
 
-    def _response(self, outcome: Outcome, classes: set[int] = frozenset(),
+    def _response(self, outcome: Outcome, cycles: int, classes: set[int] = frozenset(),
                   features: set[int] = frozenset(),
                   locations: set[int] = frozenset()) -> AbstractResponse:
         return AbstractResponse(outcome, frozenset(classes), frozenset(features),
-                                frozenset(locations), len(self.triplets) == self.capacity)
+                                frozenset(locations), len(self.triplets) == self.capacity,
+                                cycles)
 
     # --- commands ------------------------------------------------------------
 
@@ -82,10 +87,10 @@ class Oracle:
         if kind is CommandKind.CLEAR:
             self.triplets.clear()
             self.valid = set(range(self.class_bits))
-            return self._response(Outcome.SUCCESS)
+            return self._response(Outcome.SUCCESS, 1)
         if kind is CommandKind.RESET:
             self.valid = set(range(self.class_bits))
-            return self._response(Outcome.SUCCESS)
+            return self._response(Outcome.SUCCESS, 1)
         feature, location, class_ = self._sections(cmd)
         if kind is CommandKind.STORE:
             return self._store((feature, self._hot_index(location), self._hot_index(class_)))
@@ -102,32 +107,35 @@ class Oracle:
     def _store(self, t: tuple[str, int, int]) -> AbstractResponse:
         # the device resets valid bits on every store path, success or not
         self.valid = set(range(self.class_bits))
+        # a duplicate is found by the first lookup; a store that finds no
+        # empty row still takes the full three cycles
         if t in self.triplets:
-            return self._response(Outcome.STORE_FAILED)
+            return self._response(Outcome.STORE_FAILED, 2)
         if len(self.triplets) == self.capacity:
-            return self._response(Outcome.STORE_FAILED)
+            return self._response(Outcome.STORE_FAILED, 3)
         self.triplets.add(t)
-        return self._response(Outcome.SUCCESS)
+        return self._response(Outcome.SUCCESS, 3)
 
     def _delete(self, t: tuple[str, int, int]) -> AbstractResponse:
         self.valid = set(range(self.class_bits))
         if t not in self.triplets:
-            return self._response(Outcome.DELETE_FAILED)
+            return self._response(Outcome.DELETE_FAILED, 2)
         self.triplets.remove(t)
-        return self._response(Outcome.SUCCESS)
+        return self._response(Outcome.SUCCESS, 3)
 
     def _infer(self, feature: str, location: int) -> AbstractResponse:
         everywhere = {c for (f, l, c) in self.triplets if f == feature and l == location}
         narrowed = everywhere & self.valid
         if narrowed:
             self.valid = narrowed
-            return self._response(Outcome.SUCCESS, classes=narrowed)
+            return self._response(Outcome.SUCCESS, 2, classes=narrowed)
+        # a miss among the candidates costs a second lookup over all rows
         if everywhere:
             # the pair belongs to objects outside the current candidate set
             self.valid = everywhere
-            return self._response(Outcome.CONTEXT_SWITCH, classes=everywhere)
+            return self._response(Outcome.CONTEXT_SWITCH, 4, classes=everywhere)
         self.valid = set(range(self.class_bits))
-        return self._response(Outcome.INFER_FAILED)
+        return self._response(Outcome.INFER_FAILED, 4)
 
     def _predict_feature(self, location: int, padding: int) -> AbstractResponse:
         features: set[int] = set()
@@ -136,7 +144,7 @@ class Oracle:
             if c in self.valid and self._within_window(l, location, padding):
                 features.update(i for i, ch in enumerate(f) if ch == "1")
                 classes.add(c)
-        return self._response(Outcome.SUCCESS, classes=classes, features=features)
+        return self._response(Outcome.SUCCESS, 1, classes=classes, features=features)
 
     def _predict_location(self, feature: str) -> AbstractResponse:
         locations: set[int] = set()
@@ -145,4 +153,4 @@ class Oracle:
             if c in self.valid and f == feature:
                 locations.add(l)
                 classes.add(c)
-        return self._response(Outcome.SUCCESS, classes=classes, locations=locations)
+        return self._response(Outcome.SUCCESS, 1, classes=classes, locations=locations)

@@ -100,7 +100,6 @@ _SHAPES = {
     CommandKind.PREDICT_LOCATION: (_FEATURE, _ZERO, _ZERO),
 }
 
-_INFER = CommandKind.INFER
 _PREDICT_FEATURE = CommandKind.PREDICT_FEATURE
 
 
@@ -160,7 +159,14 @@ def validate_command(cmd: MacroCommand, layout: SdrLayout,
 
 
 def _window(location: int, width: int, padding: int, mode: PaddingMode) -> int:
-    """padding_window on a location section's integer value; returns the mask's."""
+    """The location-section DC window, as an integer, around the one-hot
+    location section value of the given width.
+
+    Zero padding masks nothing (the hot position itself is compared). For
+    padding >= 1 the window holds the hot position and every position within
+    that distance: string-position distance on a line, Chebyshev distance on
+    a grid. Windows clamp at the edges, with no wraparound.
+    """
     if padding == 0:
         return 0
     if not location or location & (location - 1):
@@ -180,17 +186,6 @@ def _window(location: int, width: int, padding: int, mode: PaddingMode) -> int:
     for r in range(max(0, r0 - padding), min(rows, r0 + padding + 1)):
         mask |= strip << ((rows - 1 - r) * cols)
     return mask
-
-
-def padding_window(location: Bits, padding: int, mode: PaddingMode = LINEAR_1D) -> Bits:
-    """Location-section DC window around a one-hot location.
-
-    Zero padding masks nothing (the hot position itself is compared). For
-    padding >= 1 the window includes the hot position plus every position
-    within the given distance: string-position distance on a line, Chebyshev
-    distance on a grid. Windows clamp at the edges, no wraparound.
-    """
-    return Bits(_window(location.value, location.width, padding, mode), location.width)
 
 
 def _masks(layout: SdrLayout) -> dict[CommandKind, Bits]:
@@ -223,13 +218,14 @@ def build_dc(cmd: MacroCommand, layout: SdrLayout,
     section; PREDICT_FEATURE ignores feature and class; PREDICT_LOCATION
     ignores location and class. CLEAR/RESET never reach the memory, their
     mask is all-zero by convention. Padding widens the location section of
-    an INFER or PREDICT_FEATURE mask; every other mask is shared.
+    a PREDICT_FEATURE mask, the only kind validate_command lets carry it;
+    every other mask is shared.
     """
     kind = cmd.kind
     base = _masks(layout).get(kind)
     if base is None:
         raise InputError(f"unknown command kind {kind!r}")
-    if not cmd.padding or not (kind is _PREDICT_FEATURE or kind is _INFER):
+    if not cmd.padding or kind is not _PREDICT_FEATURE:
         return base
     l, c = layout.location_bits, layout.class_bits
     location = (cmd.sdr.value >> c) & ((1 << l) - 1)

@@ -1,4 +1,4 @@
-"""Fixed-width bit strings, SDR section layout, and the two matching predicates.
+"""Fixed-width bit strings and the SDR section layout.
 
 An SDR here is a bit string partitioned into feature | location | class
 sections, written left to right (the leftmost character is the first
@@ -48,10 +48,6 @@ class Bits:
     @classmethod
     def zeros(cls, width: int) -> Bits:
         return cls(0, width)
-
-    @classmethod
-    def ones(cls, width: int) -> Bits:
-        return cls((1 << width) - 1, width)
 
     @classmethod
     def one_hot(cls, width: int, position: int) -> Bits:
@@ -146,16 +142,6 @@ class SdrLayout:
         if bits.width != self.total:
             raise LayoutError(f"SDR width {bits.width} != layout total {self.total}")
 
-    def split(self, sdr: Bits) -> tuple[Bits, Bits, Bits]:
-        """Partition a full-width SDR into (feature, location, class) sections."""
-        self.check_width(sdr)
-        lc = self.location_bits + self.class_bits
-        feature = Bits(sdr.value >> lc, self.feature_bits)
-        location = Bits((sdr.value >> self.class_bits) & ((1 << self.location_bits) - 1),
-                        self.location_bits)
-        class_ = Bits(sdr.value & ((1 << self.class_bits) - 1), self.class_bits)
-        return feature, location, class_
-
     def triplet(self, feature: int | Bits | None = None, location: int | None = None,
                 class_: int | None = None) -> Bits:
         """Full-width SDR from each section's hot index; a missing section is zero.
@@ -204,27 +190,3 @@ def _section_value(name: str, width: int, hot: int | Bits | None) -> int:
     if 0 <= hot < width:
         return 1 << (width - 1 - hot)
     raise LayoutError(f"{name} index {hot} outside width {width}")
-
-
-def equality_match(stored: Bits, query: Bits, dc: Bits) -> bool:
-    """Exact equality over every position the mask does not cover.
-
-    True iff stored[p] == query[p] at every position p with dc[p] = 0.
-    An all-ones mask matches anything; an all-zeros mask is plain equality.
-    """
-    if not stored.width == query.width == dc.width:
-        raise LayoutError("equality_match operands must share one width")
-    care = ((1 << stored.width) - 1) & ~dc.value
-    return ((stored.value ^ query.value) & care) == 0
-
-
-def membership_match(stored: Bits, query: Bits, dc: Bits) -> bool:
-    """Set-membership style match used by class validation.
-
-    True iff some position p has dc[p] = 0 and both query[p] and stored[p]
-    set. With an all-ones mask the existential is vacuous: no match.
-    """
-    if not stored.width == query.width == dc.width:
-        raise LayoutError("membership_match operands must share one width")
-    care = ((1 << stored.width) - 1) & ~dc.value
-    return (stored.value & query.value & care) != 0

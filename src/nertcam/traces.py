@@ -148,26 +148,26 @@ def config_from_json(text: str) -> NertcamConfig:
             raise ParseError(f"config field {name!r} must be an integer, got {v!r}")
         return v
 
-    layout = SdrLayout(
-        feature_bits=_int("feature_bits", DEFAULT_LAYOUT.feature_bits),
-        location_bits=_int("location_bits", DEFAULT_LAYOUT.location_bits),
-        class_bits=_int("class_bits", DEFAULT_LAYOUT.class_bits),
-    )
     grid = obj.get("grid")
-    if grid is not None:
-        if not isinstance(grid, list) or len(grid) != 2 or not all(map(_is_int, grid)):
-            raise ParseError("grid must be a two-element integer list [rows, cols]")
-        mode = PaddingMode.grid(grid[0], grid[1])
-    else:
-        mode = LINEAR_1D
+    if grid is not None and (not isinstance(grid, list) or len(grid) != 2
+                             or not all(map(_is_int, grid))):
+        raise ParseError("grid must be a two-element integer list [rows, cols]")
     khot = obj.get("khot_features", False)
     if not isinstance(khot, bool):
         raise ParseError(f"config field 'khot_features' must be true or false, got {khot!r}")
-    config = NertcamConfig(layout=layout, capacity=_int("entries", 1024),
-                           padding_mode=mode, khot_features=khot)
+    # the layout, the grid and the config each reject values no device can
+    # have; all of them are errors in the config text
     try:
+        layout = SdrLayout(
+            feature_bits=_int("feature_bits", DEFAULT_LAYOUT.feature_bits),
+            location_bits=_int("location_bits", DEFAULT_LAYOUT.location_bits),
+            class_bits=_int("class_bits", DEFAULT_LAYOUT.class_bits),
+        )
+        mode = LINEAR_1D if grid is None else PaddingMode.grid(grid[0], grid[1])
+        config = NertcamConfig(layout=layout, capacity=_int("entries", 1024),
+                               padding_mode=mode, khot_features=khot)
         config.validate()
-    except ConfigError as exc:
+    except (LayoutError, ConfigError) as exc:
         raise ParseError(str(exc)) from exc
     return config
 

@@ -189,13 +189,13 @@ class ReplaySummary:
 
 def _record_report(seq: int, rec: TraceRecord, resp: Response | None,
                    detail: str = "") -> dict:
-    """One record's report: the record's fields, then the Response's view and
-    cycles, or INPUT_ERROR with the error's detail when there is none."""
+    """One record's report: the record's fields, then the Response's view,
+    or INPUT_ERROR with the error's detail when there is none."""
     rep: dict[str, object] = {"seq": seq, **rec.to_dict()}
     if resp is None:
         rep.update(outcome=INPUT_ERROR, detail=detail)
     else:
-        rep.update(response_view(resp), cycles=resp.cycles)
+        rep.update(response_view(resp))
     return rep
 
 

@@ -133,7 +133,7 @@ def _agreeing_pair():
                                      Bits.from_positions(4, [3]),
                                      Bits.from_positions(4, [0])), cycles=3)
     expected = AbstractResponse(Outcome.SUCCESS, frozenset({0}), frozenset({1, 2}),
-                                frozenset({3}), False)
+                                frozenset({3}), False, 3)
     return resp, expected
 
 
@@ -143,6 +143,7 @@ def _agreeing_pair():
     ("features", frozenset({1})),
     ("locations", frozenset()),
     ("full", True),
+    ("cycles", 2),
 ])
 def test_mismatches_names_the_one_differing_field(name, value):
     config = NertcamConfig(layout=SdrLayout(4, 4, 4), capacity=8)

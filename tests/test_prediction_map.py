@@ -6,6 +6,7 @@ import pytest
 
 from nertcam import Bits, CommandKind, MemoryArray, SdrLayout, concat, condense
 from nertcam.prediction_map import zero_output
+from reference import split
 
 L333 = SdrLayout(3, 3, 3)
 
@@ -109,7 +110,7 @@ def test_condense_matches_row_by_row_or_on_arbitrary_rows():
             for i, row in enumerate(map(mem.row, range(mem.capacity))):
                 if matched >> i & 1:
                     union |= row
-            feature, location, class_ = layout.split(Bits(union, width))
+            feature, location, class_ = split(layout, Bits(union, width))
             cols = mem._cols
             for kind, gated in ((CommandKind.PREDICT_FEATURE, range(c, c + l)),
                                 (CommandKind.PREDICT_LOCATION, range(c + l, width))):

@@ -4,8 +4,9 @@ import pytest
 
 from nertcam import (Bits, CommandKind, InputError, LayoutError, MacroCommand,
                      NertcamConfig, PaddingMode, SdrLayout, System, build_dc, concat,
-                     equality_match, padding_window, validate_command)
+                     validate_command)
 from nertcam.preprocess import LINEAR_1D, _SHAPES, _check_section
+from reference import equality_match, ones, padding_window, split
 
 
 
@@ -124,9 +125,9 @@ def test_dc_masks_cover_exactly_the_zero_sections(widths):
         shape = _SHAPES.get(kind, ("compared",) * 3)
         sdr = layout.triplet(*(None if rule == "zero" else 0 for rule in shape))
         masks[kind] = build_dc(MacroCommand(kind, sdr), layout)
-        expect = [Bits.ones(w) if rule == "zero" else Bits.zeros(w)
+        expect = [ones(w) if rule == "zero" else Bits.zeros(w)
                   for rule, w in zip(shape, widths)]
-        assert layout.split(masks[kind]) == tuple(expect), kind
+        assert split(layout, masks[kind]) == tuple(expect), kind
     assert len({id(mask) for mask in masks.values()}) == 4
     assert len(set(masks.values())) == 4
 
@@ -134,7 +135,7 @@ def test_dc_masks_cover_exactly_the_zero_sections(widths):
 def test_dc_padding_only_widens_location(layout333):
     mask = build_dc(cmd(CommandKind.PREDICT_FEATURE, "000|010|000", padding=1),
                     layout333)
-    f, l, c = layout333.split(mask)
+    f, l, c = split(layout333, mask)
     assert str(f) == "111"
     assert str(l) == "111"  # window around the middle of a 3-wide section
     assert str(c) == "111"
@@ -152,7 +153,7 @@ def test_dc_never_pads_feature_or_class():
         mask = build_dc(MacroCommand(CommandKind.PREDICT_FEATURE,
                                      layout.triplet(location=3), padding=p),
                         layout)
-        f, _, c = layout.split(mask)
+        f, _, c = split(layout, mask)
         assert str(f) == "1111"
         assert str(c) == "1111"
 
@@ -274,7 +275,7 @@ def _ref_window(location, padding, mode):
 
 
 def _ref_validate(command, layout, khot_features):
-    """validate_command as written on the layout.split sections."""
+    """validate_command as written on the split sections."""
     def one_hot(section, name):
         if section.popcount != 1:
             raise InputError(f"{name} section must be one-hot, got {section}")
@@ -298,7 +299,7 @@ def _ref_validate(command, layout, khot_features):
             f"padding is only accepted on PREDICT_FEATURE, not {command.kind.value}")
     if command.kind in (CommandKind.CLEAR, CommandKind.RESET):
         return
-    feature, location, class_ = layout.split(command.sdr)
+    feature, location, class_ = split(layout, command.sdr)
     if command.kind in (CommandKind.STORE, CommandKind.DELETE):
         feature_ok(feature)
         one_hot(location, "location")
@@ -322,12 +323,12 @@ def _ref_build_dc(command, layout, mode):
     f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
     kind = command.kind
     if kind in (CommandKind.INFER, CommandKind.PREDICT_FEATURE):
-        _, location, _ = layout.split(command.sdr)
+        _, location, _ = split(layout, command.sdr)
         window = _ref_window(location, command.padding, mode)
-        feature = Bits.ones(f) if kind is CommandKind.PREDICT_FEATURE else Bits.zeros(f)
-        return concat(feature, window, Bits.ones(c))
+        feature = ones(f) if kind is CommandKind.PREDICT_FEATURE else Bits.zeros(f)
+        return concat(feature, window, ones(c))
     if kind is CommandKind.PREDICT_LOCATION:
-        return concat(Bits.zeros(f), Bits.ones(l), Bits.ones(c))
+        return concat(Bits.zeros(f), ones(l), ones(c))
     return Bits.zeros(layout.total)
 
 
@@ -352,7 +353,7 @@ def test_preprocess_matches_section_reference_exhaustively(layout, grid):
     row = PaddingMode.grid(1, layout.location_bits)
     for value in range(1 << layout.total):
         sdr = Bits(value, layout.total)
-        _, location, _ = layout.split(sdr)
+        _, location, _ = split(layout, sdr)
         for padding in range(4):
             for mode in modes:
                 assert (_outcome(padding_window, location, padding, mode)

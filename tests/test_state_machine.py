@@ -8,6 +8,7 @@ import pytest
 from nertcam import (Bits, CommandKind, Controller, ControllerState, CycleTrace,
                      MacroCommand, MemoryArray, NertcamConfig, Outcome, SdrLayout,
                      System, state_machine)
+from nertcam.lockstep import mismatches, oracle_for
 
 L333 = SdrLayout(3, 3, 3)
 ZERO_DC = Bits.zeros(9)
@@ -361,3 +362,15 @@ def test_cycle_table_holds_on_a_device():
                 assert resp.full or not full, row
                 seen.add(outcome)
             assert seen == set(expected), row
+
+
+def test_cycle_table_script_agrees_with_the_oracle():
+    """The table's script, on a device and on the oracle in lockstep: every
+    command ends with the same outcome, outputs, full flag and cycle count,
+    and the device's valid bits mirror the oracle's valid set."""
+    config = NertcamConfig(L333, capacity=2)
+    system, oracle = System(config), oracle_for(config)
+    for kind, text in _TABLE_SCRIPT:
+        command = MacroCommand(kind, B(text))
+        resp = system.run(command)
+        assert mismatches(system, oracle, resp, oracle.apply(command)) == [], (kind, text)

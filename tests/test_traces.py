@@ -121,3 +121,13 @@ def test_config_errors():
         config_from_json('{"entries": true}')
     with pytest.raises(ParseError, match="grid"):
         config_from_json('{"grid": [true, 25]}')
+
+
+@pytest.mark.parametrize("text", ['{"feature_bits": 0}', '{"location_bits": -3}',
+                                  '{"grid": [0, 5]}', '{"entries": 0}',
+                                  '{"grid": [5, 4]}'])
+def test_every_bad_config_value_is_a_parse_error(text):
+    """A layout width, grid or capacity that no device can have is reported
+    as the config's ParseError, whichever block of the device rejects it."""
+    with pytest.raises(ParseError):
+        config_from_json(text)
