@@ -34,6 +34,15 @@ the row count. Lookup and validate apply no popcount, negation or
 complement to a row bitmap: in CPython each of these runs over every
 digit of the bitmap, and the last two build a new one as well.
 
+A memory image loads the same way, with no Python step per line. Its
+lines are split once, and string operations over all rows check the
+fields. The row buffer is one int() of one bit text, every row padded to
+its bytes, and each column a stride slice of that text reversed. The
+device invariants are checked on the columns, in big-integer operations
+set by the layout width, and duplicates with one set of the live rows'
+bit texts. Only a faulty image costs more: its first faulty line is found
+by a bisection over the prefixes of its rows, loading each one it tries.
+
 Six single-cycle micro-ops drive the array: clear, reset, store, delete,
 lookup, validate. Sequencing between them belongs to the controller, not
 to this module.
@@ -42,11 +51,32 @@ to this module.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress, count, islice, repeat
 
 from .sdr import Bits, LayoutError, SdrLayout
 
 # bound once: the walks call it once per row read
 _from_bytes = int.from_bytes
+
+#: The most digits an image index may have: int()'s default limit on
+#: decimal text on CPython 3.11+, so that no supported version reads a
+#: longer index, and every one rejects it the same way
+_INDEX_DIGITS = 4300
+
+
+def _binary(text: str) -> bool:
+    """Does text hold only the characters 0 and 1?"""
+    return text.isascii() and not text.encode("ascii").translate(None, b"01")
+
+
+def _hot_rows(columns: list[int]) -> tuple[int, int]:
+    """Row bitmaps of the rows with a 1 in some of columns, and of the rows
+    with a 1 in exactly one."""
+    some = more = 0
+    for col in columns:
+        more |= some & col
+        some |= col
+    return some, some ^ more
 
 
 class LookupScope(Enum):
@@ -321,80 +351,124 @@ class MemoryArray:
         sections at the layout's widths. Non-empty rows must satisfy the
         device invariants: a nonzero feature section, one-hot location and
         class sections, no duplicate triplet, and one valid bit per class.
-        Empty rows are dead and not checked.
+        Empty rows are dead and not checked. Blank lines are skipped, and an
+        index may carry leading zeros, up to 4,300 digits in all.
+
+        The lines are split once, then checked and loaded as a whole, with
+        no Python step per line. A faulty image raises the error of its
+        first faulty line, for the first of that line's checks to fail, in
+        the order _load lists them.
         """
+        lines = list(map(str.split, text.splitlines()))
+        rows = list(filter(None, lines))
+        if not rows:
+            raise ValueError("memory image has no rows")
+        try:
+            return cls._load(rows, lines, layout)
+        except ValueError as exc:
+            error, good, bad = exc, 0, len(rows)
+        # each prefix of a prefix that passes every check passes too, so a
+        # bisection finds the shortest failing prefix: it ends at the first
+        # faulty row, and its load raised that row's error
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                cls._load(rows[:mid], lines, layout)
+                good = mid
+            except ValueError as exc:
+                error, bad = exc, mid
+        raise error
+
+    @classmethod
+    def _load(cls, rows: list[list[str]], lines: list[list[str]],
+              layout: SdrLayout) -> MemoryArray:
+        """Check rows, each a non-blank image line's fields, and load them.
+
+        Each check covers every row at once; lines, every image line's
+        fields, gives only the line numbers of an error. The checks run in
+        the order a line's are listed: field count, index, V/E, bit
+        characters, bit count, section separators, and on non-empty rows
+        the feature, location and class sections, duplicates and the valid
+        bit per class. An error names the last row: when every shorter
+        prefix of rows passes, that row holds the failing check.
+        """
+        n = len(rows)
         total = layout.total
-        f = layout.feature_bits
+        f, c = layout.feature_bits, layout.class_bits
         fl = f + layout.location_bits
         lc = total - f
-        location_mask = (1 << layout.location_bits) - 1
-        class_mask = (1 << layout.class_bits) - 1
+
+        def line_of(r: int) -> int:
+            return next(islice(compress(count(1), lines), r, None))
+
+        def error(kind: type[ValueError], message: str) -> ValueError:
+            return kind(f"image line {line_of(n - 1)}: {message}")
+
+        if set(map(len, rows)) != {4}:
+            raise error(ValueError, f"expected 4 fields, got {len(rows[-1])}")
+        index, bits, v_fields, e_fields = zip(*rows)
+        digits = "".join(index)
+        if not (digits.isascii() and digits.isdigit()):
+            raise error(ValueError, f"index {index[-1]!r} is not an integer")
+        # stripped of its leading zeros, row 0's index is the empty string
+        if (max(map(len, index)) > _INDEX_DIGITS
+                or list(map(str.lstrip, index, repeat("0"))) != ["", *map(str, range(1, n))]):
+            raise error(ValueError, f"index {index[-1]} out of order")
+        v = "".join(v_fields)
+        e = "".join(e_fields)
+        if len(v) != n or len(e) != n or not _binary(v + e):
+            raise error(ValueError, "V/E must be 0 or 1")
+        # every row's bits, each after its w bytes' pad: once the '|'s are
+        # dropped, 8 * w characters a row
         w = (total + 7) >> 3
-        packed: list[bytes] = []                      # each row's w bytes
-        raws: list[str] = []                          # each row's bits, no '|'
-        valid_text: list[str] = []
-        occupied_text: list[str] = []
-        first_line: dict[int, int] = {}              # triplet -> image line
-        class_valid: dict[int, tuple[str, int]] = {}  # class -> (V, image line)
-        for n, line in enumerate(text.splitlines(), 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"image line {n}: expected 4 fields, got {len(parts)}")
-            index, bits_text, v, e = parts
-            if not (index.isascii() and index.isdigit()):
-                raise ValueError(f"image line {n}: index {index!r} is not an integer")
-            if int(index) != len(packed):
-                raise ValueError(f"image line {n}: index {index} out of order")
-            if v not in ("0", "1") or e not in ("0", "1"):
-                raise ValueError(f"image line {n}: V/E must be 0 or 1")
-            raw = bits_text.replace("|", "")
-            if raw.count("0") + raw.count("1") != len(raw):
-                raise LayoutError(f"image line {n}: invalid bit characters in {bits_text!r}")
-            if len(raw) != total:
-                raise LayoutError(f"image line {n}: expected {total} bits, "
-                                  f"got {len(raw)} in {bits_text!r}")
-            if len(bits_text) != total + 2 or bits_text[f] != "|" or bits_text[fl + 1] != "|":
-                raise LayoutError(
-                    f"image line {n}: expected sections of {f}|{layout.location_bits}|"
-                    f"{layout.class_bits} bits, got {bits_text!r}")
-            value = int(raw, 2)
-            if e == "0":
-                location = (value >> layout.class_bits) & location_mask
-                class_ = value & class_mask
-                if not value >> lc:
-                    raise ValueError(f"image line {n}: feature section is zero")
-                if location & (location - 1) or not location:
-                    raise ValueError(f"image line {n}: location section is not one-hot")
-                if class_ & (class_ - 1) or not class_:
-                    raise ValueError(f"image line {n}: class section is not one-hot")
-                first = first_line.setdefault(value, n)
-                if first != n:
-                    raise ValueError(f"image line {n}: triplet duplicates image line {first}")
-                class_v, class_line = class_valid.setdefault(class_, (v, n))
-                if class_v != v:
-                    raise ValueError(f"image line {n}: valid bit {v} differs from image "
-                                     f"line {class_line} of the same class")
-            packed.append(value.to_bytes(w, "big"))
-            raws.append(raw)
-            valid_text.append(v)
-            occupied_text.append("1" if e == "0" else "0")
-        if not packed:
-            raise ValueError("memory image has no rows")
+        pad = "0" * (8 * w - total)
+        joined = pad + pad.join(bits)
+        padded = joined.replace("|", "")
+        if not _binary(padded):
+            raise error(LayoutError, f"invalid bit characters in {bits[-1]!r}")
+        # all rows total + 2 characters long, with 2 '|'s each, both in place
+        step = len(pad) + total + 2
+        bars = "|" * n
+        if (set(map(len, bits)) != {total + 2} or len(padded) != 8 * w * n
+                or joined[len(pad) + f::step] != bars or joined[len(pad) + fl + 1::step] != bars):
+            last = bits[-1]
+            got = len(last) - last.count("|")
+            if got != total:
+                raise error(LayoutError, f"expected {total} bits, got {got} in {last!r}")
+            raise error(LayoutError, f"expected sections of {f}|{layout.location_bits}|"
+                                     f"{c} bits, got {last!r}")
+        # transpose in one step: in the reversed text, bit k of every row
+        # sits at stride 8 * w from k, and the slice reads as column k, its
+        # highest row first. Leading zeros are stripped, since int() sizes
+        # its result by the text's length.
+        backward = padded[::-1]
+        cols = [int(backward[k::8 * w].lstrip("0") or "0", 2) for k in range(total)]
+        valid = int(v[::-1], 2)
+        occupied = ((1 << n) - 1) ^ int(e[::-1], 2)
+        if _hot_rows(cols[lc:])[0] & occupied != occupied:
+            raise error(ValueError, "feature section is zero")
+        for name, section in (("location", cols[c:lc]), ("class", cols[:c])):
+            if _hot_rows(section)[1] & occupied != occupied:
+                raise error(ValueError, f"{name} section is not one-hot")
+        live = list(compress(bits, map("0".__eq__, e)))
+        if len(set(live)) != len(live):
+            # on the shortest failing prefix the last row is live, as is
+            # its first twin; a longer prefix's error is not raised
+            first = next((r for r in range(n) if e[r] == "0" and bits[r] == bits[-1]), n - 1)
+            raise error(ValueError, f"triplet duplicates image line {line_of(first)}")
+        for col in cols[:c]:
+            members = col & occupied
+            if members & valid not in (0, members):
+                first = (members & -members).bit_length() - 1
+                raise error(ValueError, f"valid bit {v[-1]} differs from image "
+                                        f"line {line_of(first)} of the same class")
         # built once, without cls(): its micro_clear would allocate a row
         # store and zero columns only for them to be replaced
         mem = cls.__new__(cls)
-        mem._shape(layout, len(packed))
-        mem._rows = bytearray(b"".join(packed))
-        mem.valid = int("".join(reversed(valid_text)), 2)
-        mem.occupied = int("".join(reversed(occupied_text)), 2)
+        mem._shape(layout, n)
+        mem._rows = bytearray(int(padded, 2).to_bytes(w * n, "big"))
+        mem._cols = cols
+        mem.valid = valid
+        mem.occupied = occupied
         mem.valid_entry = False
-        # transpose in one step: with the rows' bits joined last row first,
-        # bit k of every row sits at stride total from total - 1 - k, and
-        # the slice reads as column k, its highest row first. Leading zeros
-        # are stripped, since int() sizes its result by the text's length.
-        bits = "".join(reversed(raws))
-        mem._cols = [int(bits[total - 1 - k::total].lstrip("0") or "0", 2)
-                     for k in range(total)]
         return mem

@@ -9,7 +9,7 @@ import pytest
 
 from nertcam import (Bits, CommandKind, LayoutError, LookupScope, MemoryArray,
                      PredictionOutput, SdrLayout, concat, condense)
-from reference import equality_match, membership_match, split
+from reference import equality_match, load_image, membership_match, split
 
 
 def B(text):
@@ -733,7 +733,7 @@ def _random_image(rng, layout, capacity):
         else:
             value = 0
             while not value or value in seen or value & zero_column:
-                feature = sum(1 << k for k in rng.sample(range(f), rng.randint(1, 4)))
+                feature = sum(1 << k for k in rng.sample(range(f), rng.randint(1, min(4, f))))
                 class_ = rng.randrange(c)
                 value = feature << (l + c) | 1 << (c + rng.randrange(l)) | 1 << class_
             seen.add(value)
@@ -742,6 +742,94 @@ def _random_image(rng, layout, capacity):
         lines.append(f"{i} {bits[:f]}|{bits[f:f + l]}|{bits[f + l:]} {v} {e}")
         rows.append((value, v, e))
     return "\n".join(lines) + "\n", rows
+
+
+# characters a random edit writes: bits, separators, whitespace that splits a
+# line (tab) or ends one (\n, \r, \x0b, \x0c), and characters no field allows
+_EDIT_CHARS = "0011||  \t\n\r\x0b\x0c2x_+\u0661"
+
+
+def _edit(rng, text):
+    """text with one random edit: a character replaced, inserted or deleted,
+    a line duplicated or blank lines inserted, a V or E flipped, a space
+    widened, a leading zero on an index, or one line's triplet copied into
+    another."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(9)
+    if kind < 3:
+        at = rng.randrange(len(text))
+        char = rng.choice(_EDIT_CHARS)
+        return text[:at] + (char, char + text[at], "")[kind] + text[at + 1:]
+    if kind == 3:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == 4:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", " ", "\t \t")))
+    elif kind == 5:
+        fields = lines[i].split(" ")
+        k = rng.choice((2, 3))
+        if k < len(fields):
+            fields[k] = {"0": "1", "1": "0"}.get(fields[k], fields[k])
+        lines[i] = " ".join(fields)
+    elif kind == 6:
+        lines[i] = lines[i].replace(" ", rng.choice(("  ", "\t", " \t ")), rng.randint(1, 3))
+    elif kind == 7:
+        lines[i] = "0" + lines[i]
+    else:
+        fields = lines[i].split(" ")
+        fields[1:2] = rng.choice(lines).split(" ")[1:2]
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
+
+
+def _load_or_error(load, text, layout):
+    """The loaded array's state, or the type and message of what load raised."""
+    try:
+        mem = load(text, layout)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return bytes(mem._rows), mem._cols, mem.valid, mem.occupied, mem.capacity
+
+
+@pytest.mark.parametrize("layout", [SdrLayout(3, 3, 3), SdrLayout(4, 2, 2),
+                                    SdrLayout(8, 4, 4), SdrLayout(128, 25, 10)],
+                         ids=lambda layout: f"{layout.total}bits")
+def test_image_load_matches_the_line_by_line_reference(layout):
+    """from_image, which checks and loads every line at once, agrees with
+    the reference that reads one line at a time: on valid images and on
+    images with up to three random edits, both load equal arrays, or both
+    raise the same exception with the same message."""
+    rng = random.Random(layout.total)
+    accepted = rejected = edited_and_accepted = 0
+    for _ in range(400):
+        text, _ = _random_image(rng, layout, rng.randint(1, 12))
+        edits = rng.choice((0, 1, 1, 2, 3))
+        for _ in range(edits):
+            text = _edit(rng, text)
+        expected = _load_or_error(load_image, text, layout)
+        assert _load_or_error(MemoryArray.from_image, text, layout) == expected, text
+        if isinstance(expected[0], bytes):
+            accepted += 1
+            edited_and_accepted += edits > 0
+        else:
+            rejected += 1
+    assert accepted >= 100 and rejected >= 100 and edited_and_accepted >= 50
+
+
+def test_image_index_longer_than_int_reads_is_out_of_order():
+    """An index may carry leading zeros, up to 4,300 digits in all: int()'s
+    default limit on decimal text. A longer one is out of order, with its
+    image line, and not the interpreter's digit-limit error."""
+    layout = SdrLayout(3, 3, 3)
+    for zeros in (2, 4300):
+        mem = MemoryArray.from_image(f"{'0' * zeros} 001|010|100 1 0\n"
+                                     f"{'0' * (zeros - 1)}1 001|100|100 1 0\n", layout)
+        assert (mem.capacity, mem.occupancy) == (2, 2)
+    for text, line in ((f"{'0' * 4301} 001|010|100 1 0\n", 1),
+                       (f"0 001|010|100 1 0\n\n{'0' * 5000}1 001|100|100 1 0\n", 3)):
+        index = text.splitlines()[line - 1].split()[0]
+        with pytest.raises(ValueError, match=f"^image line {line}: index {index} out of order$"):
+            MemoryArray.from_image(text, layout)
 
 
 def test_image_round_trip_over_many_digits():

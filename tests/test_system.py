@@ -365,9 +365,10 @@ def test_value_objects_are_slotted_and_keep_their_semantics():
 
 
 def test_value_object_constructors_set_every_field(monkeypatch):
-    """Bits, MacroCommand, PredictionOutput and Response set their slots in
-    their own __init__: it takes the fields in order, with their defaults,
-    and positional, keyword and dataclasses.replace construction agree. Bits
+    """Bits, MacroCommand, PredictionOutput, Response and TraceRecord set
+    their slots in their own __init__: it takes the fields in order, with
+    their defaults, and positional, keyword and dataclasses.replace
+    construction agree, while a required field left out raises. Bits
     still checks its range and runs __post_init__ once per object built."""
     bits = Bits.parse("001010100")
     prediction = PredictionOutput(Bits.zeros(3), Bits(0b010, 3), Bits(0b100, 3))
@@ -380,6 +381,8 @@ def test_value_object_constructors_set_every_field(monkeypatch):
         (Response, (Outcome.SUCCESS, False, prediction, 3),
          (Outcome.INFER_FAILED, True,
           PredictionOutput(Bits.zeros(3), Bits.zeros(3), Bits.zeros(3)), 1)),
+        (TraceRecord, ("PREDICT_FEATURE", None, "0101", 3, None, 2, 7),
+         ("STORE", 1, None, 0, 2, 0, 0)),
     ]
     for cls, args, other_args in cases:
         fields = dataclasses.fields(cls)
@@ -399,8 +402,9 @@ def test_value_object_constructors_set_every_field(monkeypatch):
             changed = dataclasses.replace(obj, **{name: value})
             assert getattr(changed, name) == value
             assert changed == cls(**{**kwargs, name: value})
+        required = sum(f.default is dataclasses.MISSING for f in fields)
         with pytest.raises(TypeError):
-            cls(*args[:1])
+            cls(*args[:required - 1])
 
     command = MacroCommand(CommandKind.STORE, bits)
     assert command.padding == 0
