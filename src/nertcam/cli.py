@@ -138,9 +138,7 @@ def build_config(args: argparse.Namespace) -> NertcamConfig:
         overrides["padding_mode"] = PaddingMode.grid(*_parse_ints(args.grid, 2, "--grid"))
     if args.khot:
         overrides["khot_features"] = True
-    config = replace(config, **overrides)
-    config.validate()
-    return config
+    return replace(config, **overrides)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

@@ -12,28 +12,16 @@ has MemoryArray.or_rows scan the output columns for more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .preprocess import CommandKind
 from .rtcam import MemoryArray
-from .sdr import Bits, SdrLayout
+from .sdr import Bits, SdrLayout, value_object
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@value_object
 class PredictionOutput:
     features: Bits
     locations: Bits
     classes: Bits
-
-    def __init__(self, features: Bits, locations: Bits, classes: Bits) -> None:
-        _output_features(self, features)
-        _output_locations(self, locations)
-        _output_classes(self, classes)
-
-
-_output_features = PredictionOutput.features.__set__
-_output_locations = PredictionOutput.locations.__set__
-_output_classes = PredictionOutput.classes.__set__
 
 
 def zero_output(layout: SdrLayout) -> PredictionOutput:

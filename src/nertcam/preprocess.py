@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .sdr import Bits, LayoutError, SdrLayout
+from .sdr import Bits, LayoutError, SdrLayout, value_object
 
 
 class InputError(ValueError):
@@ -37,23 +37,13 @@ class CommandKind(str, Enum):
     PREDICT_LOCATION = "PREDICT_LOCATION"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@value_object
 class MacroCommand:
     """One agent command: kind, input SDR, and location-padding amount."""
 
     kind: CommandKind
     sdr: Bits
     padding: int = 0
-
-    def __init__(self, kind: CommandKind, sdr: Bits, padding: int = 0) -> None:
-        _command_kind(self, kind)
-        _command_sdr(self, sdr)
-        _command_padding(self, padding)
-
-
-_command_kind = MacroCommand.kind.__set__
-_command_sdr = MacroCommand.sdr.__set__
-_command_padding = MacroCommand.padding.__set__
 
 
 @dataclass(frozen=True)

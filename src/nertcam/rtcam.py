@@ -344,13 +344,16 @@ class MemoryArray:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_image(cls, text: str, layout: SdrLayout) -> MemoryArray:
+    def from_image(cls, text: str, layout: SdrLayout,
+                   khot_features: bool = True) -> MemoryArray:
         """Rebuild an array from its image; capacity = number of lines.
 
         Each line reads `index feature|location|class V E`, with the three
         sections at the layout's widths. Non-empty rows must satisfy the
-        device invariants: a nonzero feature section, one-hot location and
-        class sections, no duplicate triplet, and one valid bit per class.
+        device invariants: a nonzero feature section, one-hot when
+        khot_features is False (a System passes its config's flag; the
+        array alone takes any feature bits), one-hot location and class
+        sections, no duplicate triplet, and one valid bit per class.
         Empty rows are dead and not checked. Blank lines are skipped, and an
         index may carry leading zeros, up to 4,300 digits in all.
 
@@ -364,7 +367,7 @@ class MemoryArray:
         if not rows:
             raise ValueError("memory image has no rows")
         try:
-            return cls._load(rows, lines, layout)
+            return cls._load(rows, lines, layout, khot_features)
         except ValueError as exc:
             error, good, bad = exc, 0, len(rows)
         # each prefix of a prefix that passes every check passes too, so a
@@ -373,7 +376,7 @@ class MemoryArray:
         while bad - good > 1:
             mid = (good + bad) // 2
             try:
-                cls._load(rows[:mid], lines, layout)
+                cls._load(rows[:mid], lines, layout, khot_features)
                 good = mid
             except ValueError as exc:
                 error, bad = exc, mid
@@ -381,7 +384,7 @@ class MemoryArray:
 
     @classmethod
     def _load(cls, rows: list[list[str]], lines: list[list[str]],
-              layout: SdrLayout) -> MemoryArray:
+              layout: SdrLayout, khot_features: bool) -> MemoryArray:
         """Check rows, each a non-blank image line's fields, and load them.
 
         Each check covers every row at once; lines, every image line's
@@ -445,8 +448,11 @@ class MemoryArray:
         cols = [int(backward[k::8 * w].lstrip("0") or "0", 2) for k in range(total)]
         valid = int(v[::-1], 2)
         occupied = ((1 << n) - 1) ^ int(e[::-1], 2)
-        if _hot_rows(cols[lc:])[0] & occupied != occupied:
+        some, one = _hot_rows(cols[lc:])
+        if some & occupied != occupied:
             raise error(ValueError, "feature section is zero")
+        if not khot_features and one & occupied != occupied:
+            raise error(ValueError, "feature section is not one-hot")
         for name, section in (("location", cols[c:lc]), ("class", cols[:c])):
             if _hot_rows(section)[1] & occupied != occupied:
                 raise error(ValueError, f"{name} section is not one-hot")

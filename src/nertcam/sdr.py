@@ -11,7 +11,7 @@ locations are adjacent string positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -20,7 +20,36 @@ class LayoutError(ValueError):
     """Width or section-layout violation."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def value_object(cls: type) -> type:
+    """Make cls a frozen slotted dataclass whose __init__ sets each field
+    through its slot's own setter.
+
+    The __init__ dataclass generates for a frozen class goes through
+    object.__setattr__ for each field, at about twice the cost, and every
+    command builds several of these objects. This one takes the fields in
+    order, with their defaults, calls each slot's member-descriptor setter,
+    bound once per class, and ends with self.__post_init__() when the class
+    defines one. Like dataclasses, it builds the __init__ from source with
+    exec.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    # the bound setters are the globals of the __init__ built here
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    if hasattr(cls, "__post_init__"):
+        # looked up on self, so that a replaced __post_init__ is the one called
+        body += "    self.__post_init__()\n"
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    init.__module__ = cls.__module__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@value_object
 class Bits:
     """A value-semantic bit string of fixed width.
 
@@ -31,13 +60,6 @@ class Bits:
 
     value: int
     width: int
-
-    def __init__(self, value: int, width: int) -> None:
-        # the slots' own setters: the generated __init__ of a frozen class
-        # sets each field through object.__setattr__, at about twice the cost
-        _bits_value(self, value)
-        _bits_width(self, width)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.width < 0:
@@ -92,10 +114,6 @@ class Bits:
             v ^= low
         out.reverse()
         return tuple(out)
-
-
-_bits_value = Bits.value.__set__
-_bits_width = Bits.width.__set__
 
 
 def concat(*parts: Bits) -> Bits:

@@ -17,10 +17,10 @@ The per-command path is kept lean, because with the array bit-sliced the
 Python calls around it cost more than the array operations. The value
 objects a command builds (Bits, MacroCommand, Completion,
 PredictionOutput, Response) are slotted dataclasses. Bits, MacroCommand,
-PredictionOutput and Response, frozen and built on every command, have a
-hand-written __init__ that sets each slot through its member descriptor's
-setter, bound once at import: the generated __init__ of a frozen class
-goes through object.__setattr__ for each field, at about twice the cost.
+PredictionOutput and Response, frozen and built on every command, are
+declared with sdr.value_object, whose __init__ sets each slot through its
+member descriptor's setter: the generated __init__ of a frozen class goes
+through object.__setattr__ for each field, at about twice the cost.
 Bits.__init__ still ends with __post_init__, so every Bits built is range
 checked, and counted when a traced run counts them. validate_command
 tests all three sections in one boolean pass, and SdrLayout.triplet sets
@@ -40,7 +40,7 @@ from .preprocess import (LINEAR_1D, MacroCommand, PaddingMode, build_dc,
                          validate_command)
 from .prediction_map import PredictionOutput, condense, zero_output
 from .rtcam import MemoryArray
-from .sdr import Bits, SdrLayout
+from .sdr import Bits, SdrLayout, value_object
 from .state_machine import Controller, CycleTrace, ERROR_OUTCOMES, Outcome
 
 #: Section widths used for the benchmark-scale configuration (165-bit rows
@@ -63,7 +63,7 @@ class NertcamConfig:
     padding_mode: PaddingMode = LINEAR_1D
     khot_features: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
         pm = self.padding_mode
@@ -73,7 +73,7 @@ class NertcamConfig:
                 f"{self.layout.location_bits} location bits")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@value_object
 class Response:
     """Per-command result: outcome and full flag, k-hot outputs, and the
     cycle count."""
@@ -86,13 +86,6 @@ class Response:
     prediction: PredictionOutput
     cycles: int
 
-    def __init__(self, outcome: Outcome, full: bool, prediction: PredictionOutput,
-                 cycles: int) -> None:
-        _response_outcome(self, outcome)
-        _response_full(self, full)
-        _response_prediction(self, prediction)
-        _response_cycles(self, cycles)
-
     @property
     def classes(self) -> Bits:
         return self.prediction.classes
@@ -103,17 +96,10 @@ class Response:
         return self.outcome in ERROR_OUTCOMES
 
 
-_response_outcome = Response.outcome.__set__
-_response_full = Response.full.__set__
-_response_prediction = Response.prediction.__set__
-_response_cycles = Response.cycles.__set__
-
-
 class System:
     """The device facade: submit/step/run plus memory images."""
 
     def __init__(self, config: NertcamConfig):
-        config.validate()
         self.config = config
         self.memory = MemoryArray(config.layout, config.capacity)
         self.controller = Controller(self.memory)
@@ -195,7 +181,7 @@ class System:
         """
         if self.busy:
             raise BusyError("load_image() requires an idle device")
-        mem = MemoryArray.from_image(text, self.layout)
+        mem = MemoryArray.from_image(text, self.layout, self.config.khot_features)
         if mem.capacity != self.config.capacity:
             raise ConfigError(
                 f"image has {mem.capacity} rows, device capacity is {self.config.capacity}")

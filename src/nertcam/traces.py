@@ -17,12 +17,11 @@ override file values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .preprocess import LINEAR_1D, CommandKind, MacroCommand, PaddingMode
-from .sdr import Bits, LayoutError, SdrLayout
+from .sdr import Bits, LayoutError, SdrLayout, value_object
 from .system import ConfigError, DEFAULT_LAYOUT, NertcamConfig
 
 
@@ -36,7 +35,7 @@ _OPTIONAL_FIELDS = {"feature", "feature_bits", "location", "class", "padding"}
 _OP_KINDS = {kind.value: kind for kind in CommandKind}
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@value_object
 class TraceRecord:
     """One replayable command with index-encoded sections."""
 
@@ -47,19 +46,6 @@ class TraceRecord:
     class_: int | None = None
     padding: int = 0
     line: int = 0
-
-    def __init__(self, op: str, feature: int | None = None, feature_bits: str | None = None,
-                 location: int | None = None, class_: int | None = None, padding: int = 0,
-                 line: int = 0) -> None:
-        # the slots' own setters, as in Bits: store_trace builds one record
-        # per stored triplet
-        _record_op(self, op)
-        _record_feature(self, feature)
-        _record_feature_bits(self, feature_bits)
-        _record_location(self, location)
-        _record_class(self, class_)
-        _record_padding(self, padding)
-        _record_line(self, line)
 
     def to_dict(self) -> dict[str, object]:
         """The record's trace fields: op, and each section or padding it sets."""
@@ -74,15 +60,6 @@ class TraceRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-_record_op = TraceRecord.op.__set__
-_record_feature = TraceRecord.feature.__set__
-_record_feature_bits = TraceRecord.feature_bits.__set__
-_record_location = TraceRecord.location.__set__
-_record_class = TraceRecord.class_.__set__
-_record_padding = TraceRecord.padding.__set__
-_record_line = TraceRecord.line.__set__
 
 
 def _is_int(v: object) -> bool:
@@ -186,12 +163,10 @@ def config_from_json(text: str) -> NertcamConfig:
             class_bits=_int("class_bits", DEFAULT_LAYOUT.class_bits),
         )
         mode = LINEAR_1D if grid is None else PaddingMode.grid(grid[0], grid[1])
-        config = NertcamConfig(layout=layout, capacity=_int("entries", 1024),
-                               padding_mode=mode, khot_features=khot)
-        config.validate()
+        return NertcamConfig(layout=layout, capacity=_int("entries", 1024),
+                             padding_mode=mode, khot_features=khot)
     except (LayoutError, ConfigError) as exc:
         raise ParseError(str(exc)) from exc
-    return config
 
 
 def load_config(path: str | Path) -> NertcamConfig:

@@ -66,7 +66,7 @@ def padding_window(location: Bits, padding: int, mode: PaddingMode = LINEAR_1D) 
     return Bits(_window(location.value, location.width, padding, mode), location.width)
 
 
-def load_image(text: str, layout: SdrLayout) -> MemoryArray:
+def load_image(text: str, layout: SdrLayout, khot_features: bool = True) -> MemoryArray:
     """MemoryArray.from_image, one image line at a time: each line is split
     and checked in turn, so the first faulty line raises, at its first
     failing check."""
@@ -110,8 +110,11 @@ def load_image(text: str, layout: SdrLayout) -> MemoryArray:
         if e == "0":
             location = (value >> layout.class_bits) & location_mask
             class_ = value & class_mask
-            if not value >> lc:
+            feature = value >> lc
+            if not feature:
                 raise ValueError(f"image line {n}: feature section is zero")
+            if not khot_features and feature & (feature - 1):
+                raise ValueError(f"image line {n}: feature section is not one-hot")
             if location & (location - 1) or not location:
                 raise ValueError(f"image line {n}: location section is not one-hot")
             if class_ & (class_ - 1) or not class_:

@@ -782,10 +782,10 @@ def _edit(rng, text):
     return "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
 
 
-def _load_or_error(load, text, layout):
+def _load_or_error(load, text, layout, *flags):
     """The loaded array's state, or the type and message of what load raised."""
     try:
-        mem = load(text, layout)
+        mem = load(text, layout, *flags)
     except ValueError as exc:
         return type(exc), str(exc)
     return bytes(mem._rows), mem._cols, mem.valid, mem.occupied, mem.capacity
@@ -798,22 +798,29 @@ def test_image_load_matches_the_line_by_line_reference(layout):
     """from_image, which checks and loads every line at once, agrees with
     the reference that reads one line at a time: on valid images and on
     images with up to three random edits, both load equal arrays, or both
-    raise the same exception with the same message."""
+    raise the same exception with the same message, whether the device
+    takes k-hot features or not."""
     rng = random.Random(layout.total)
-    accepted = rejected = edited_and_accepted = 0
+    accepted = rejected = edited_and_accepted = one_hot_accepted = khot_refused = 0
     for _ in range(400):
         text, _ = _random_image(rng, layout, rng.randint(1, 12))
         edits = rng.choice((0, 1, 1, 2, 3))
         for _ in range(edits):
             text = _edit(rng, text)
-        expected = _load_or_error(load_image, text, layout)
-        assert _load_or_error(MemoryArray.from_image, text, layout) == expected, text
+        expected = _load_or_error(load_image, text, layout, True)
+        assert _load_or_error(MemoryArray.from_image, text, layout, True) == expected, text
+        one_hot = _load_or_error(load_image, text, layout, False)
+        assert _load_or_error(MemoryArray.from_image, text, layout, False) == one_hot, text
+        one_hot_accepted += isinstance(one_hot[0], bytes)
+        khot_refused += str(one_hot[-1]).endswith(": feature section is not one-hot")
         if isinstance(expected[0], bytes):
             accepted += 1
             edited_and_accepted += edits > 0
         else:
             rejected += 1
     assert accepted >= 100 and rejected >= 100 and edited_and_accepted >= 50
+    # a one-hot device loads some images and refuses many for a k-hot row
+    assert one_hot_accepted >= 10 and khot_refused >= 100
 
 
 def test_image_index_longer_than_int_reads_is_out_of_order():

@@ -389,6 +389,7 @@ def test_value_object_constructors_set_every_field(monkeypatch):
         names = [f.name for f in fields]
         params = inspect.signature(cls).parameters
         assert list(params) == names
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
         assert [p.default for p in params.values()] == [
             inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
             for f in fields]
@@ -657,6 +658,23 @@ def test_total_cycles_is_the_controller_counter_across_image_loads():
     resp = system.run(cmd(CommandKind.INFER, "001|010|000"))
     assert str(resp.classes) == "100"
     assert system.total_cycles == system.controller.cycle_count == 10
+
+
+def test_one_hot_device_refuses_an_image_with_a_khot_feature():
+    """No command can store a k-hot feature on a one-hot device, so its
+    load_image refuses such a row with the row's image line; a k-hot device
+    loads the same image and predicts the stored features."""
+    layout = SdrLayout(4, 4, 4)
+    image = "0 1100|1000|1000 1 0\n1 0000|0000|0000 1 1\n"
+    system = make_system(2, layout)
+    with pytest.raises(ValueError, match="^image line 1: feature section is not one-hot$"):
+        system.load_image(image)
+    assert system.memory.occupancy == 0
+    khot = make_system(2, layout, khot_features=True)
+    khot.load_image(image)
+    assert khot.save_image() == image
+    resp = khot.run(MacroCommand(CommandKind.PREDICT_FEATURE, Bits.parse("0000|1000|0000")))
+    assert str(resp.prediction.features) == "1100"
 
 
 def test_image_capacity_mismatch_is_rejected():
