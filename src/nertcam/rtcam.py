@@ -10,9 +10,14 @@ valid bits with the match result. An empty row never matches anything.
 The array is held bit-sliced, as the match lines of CAM hardware see it:
 besides each row's triplet value it keeps one row bitmap per bit position
 (bit i set when row i holds a 1 there), and the valid and occupied bits as
-row bitmaps. The triplet values sit in one byte buffer, ceil(total / 8)
-bytes per row, big-endian: 21 bytes at the full-scale 163-bit layout, so
-a row takes no Python object of its own. A lookup ANDs together the
+row bitmaps. The triplet values sit in one byte buffer as codes, so a row
+takes no Python object of its own. A code holds one field per section: 0
+for an all-zero section, p + 1 for a single 1 at section bit p, in
+(width + 1).bit_length() bits. That is 3 bytes a row at the full-scale
+163-bit layout, where the row's bits take 21. A row with two or more 1s in
+some section, such as a k-hot feature, gets the escape code, every field
+all ones, and its bits, ceil(total / 8) bytes big-endian, go in a second
+buffer, allocated with the first such row. A lookup ANDs together the
 columns of the query's cared 1-positions, then drops the candidates that
 hold a 1 at a cared 0-position, and a validate ORs the class columns of
 the classes it keeps. Each such operation on a row bitmap touches one bit
@@ -26,9 +31,10 @@ or past class_bits rows, the column OR takes over. or_rows always scans
 its columns; condense chooses between it and walk_rows with one popcount
 of its matched rows, and walks only a bitmap of at most half as many
 rows as the columns it would scan. Candidates that no cared 1-position
-narrowed skip the walk. Each walk step slices its row's bytes out of the
-buffer and converts them inline: a call to row() would add a method call
-and a range check, about half as much again as the read. So a micro-op
+narrowed skip the walk. Each walk step slices its row's code out of the
+buffer and decodes it inline, three table lookups ORed, with the tables
+bound once per walk: a call to row() would add a method call and a range
+check, about half as much again as the read. So a micro-op
 costs a number of big-integer operations set by the layout width, not by
 the row count. Lookup and validate apply no popcount, negation or
 complement to a row bitmap: in CPython each of these runs over every
@@ -36,12 +42,15 @@ digit of the bitmap, and the last two build a new one as well.
 
 A memory image loads the same way, with no Python step per line. Its
 lines are split once, and string operations over all rows check the
-fields. The row buffer is one int() of one bit text, every row padded to
-its bytes, and each column a stride slice of that text reversed. The
-device invariants are checked on the columns, in big-integer operations
-set by the layout width, and duplicates with one set of the live rows'
-bit texts. Only a faulty image costs more: its first faulty line is found
-by a bisection over the prefixes of its rows, loading each one it tries.
+fields. Each column is a stride slice of one bit text, every row padded
+to its bytes, reversed. The device invariants are checked on the
+columns, in big-integer operations set by the layout width, and
+duplicates with one set of the live rows' bit texts. Each code bit is an
+OR of columns, and the code buffer one int() of a bit text that holds
+them as stride slices; the rows' own bit text is parsed only when some
+row needs the escape buffer. Only a faulty image costs more: its first
+faulty line is found by a bisection over the prefixes of its rows,
+loading each one it tries.
 
 Six single-cycle micro-ops drive the array: clear, reset, store, delete,
 lookup, validate. Sequencing between them belongs to the controller, not
@@ -52,6 +61,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import compress, count, islice, repeat
+from typing import NamedTuple
 
 from .sdr import Bits, LayoutError, SdrLayout
 
@@ -79,6 +89,45 @@ def _hot_rows(columns: list[int]) -> tuple[int, int]:
     return some, some ^ more
 
 
+class _Codec(NamedTuple):
+    """How MemoryArray codes its rows at one layout; _codec builds it.
+
+    A code holds one field per section, feature | location | class with the
+    class field lowest: 0 for an all-zero section, p + 1 for a single 1 at
+    bit p of the section. A field is (width + 1).bit_length() bits wide, so
+    no section's field reaches all ones, and escape, the code whose every
+    field is all ones, marks a row held in full. features[v] is the row's
+    bits for feature field v, already in place, and likewise locations and
+    classes: a code decodes as one entry of each table, ORed.
+    """
+
+    code_bytes: int
+    row_bytes: int
+    escape: int
+    feature_at: int     # the feature field's lowest bit
+    class_width: int    # the class field's width: the location field's lowest bit
+    location_mask: int  # a location field's value, once shifted down
+    class_mask: int
+    features: list[int]
+    locations: list[int]
+    classes: list[int]
+
+
+def _codec(layout: SdrLayout) -> _Codec:
+    """Build the layout's row codec and keep it in layout.shared, under this
+    function, where MemoryArray looks it up."""
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    fw, lw, cw = (f + 1).bit_length(), (l + 1).bit_length(), (c + 1).bit_length()
+    codec = layout.shared[_codec] = _Codec(
+        code_bytes=(fw + lw + cw + 7) >> 3, row_bytes=(layout.total + 7) >> 3,
+        escape=(1 << (fw + lw + cw)) - 1, feature_at=lw + cw, class_width=cw,
+        location_mask=(1 << lw) - 1, class_mask=(1 << cw) - 1,
+        features=[0] + [1 << k for k in range(l + c, layout.total)],
+        locations=[0] + [1 << k for k in range(c, l + c)],
+        classes=[0] + [1 << k for k in range(c)])
+    return codec
+
+
 class LookupScope(Enum):
     """Row population a lookup considers: previously-valid rows, or all rows."""
     VALID_ONLY = "valid_only"
@@ -88,10 +137,13 @@ class LookupScope(Enum):
 class MemoryArray:
     """Fixed-capacity bit-sliced array with the six micro-ops.
 
-    Row i's triplet value is the big-endian integer in bytes
-    [i * w, (i + 1) * w) of one bytearray, w = ceil(layout.total / 8) bytes
-    per row; the pad bits at the top of its first byte are always 0.
-    row(i) reads it; the micro-ops' row walks read the bytes inline.
+    Row i's code is the big-endian integer in bytes [i * k, (i + 1) * k) of
+    one bytearray, k = codec.code_bytes (see _Codec). A row whose code is
+    the escape code has its triplet value in bytes [i * w, (i + 1) * w) of
+    a second bytearray, w = ceil(layout.total / 8). That buffer comes with
+    the first such row, stored or loaded, and only those rows' bytes in it
+    are read; a cleared array has none. row(i) decodes row i; the
+    micro-ops' row walks decode inline.
     valid and occupied are row bitmaps (bit i for row i), as is each of the
     layout.total columns. A cleared or deleted row keeps whatever bits it
     held (they are dead; the occupied bit gates every match). Cleared rows
@@ -113,7 +165,8 @@ class MemoryArray:
         self.layout = layout
         self.capacity = capacity
         self._all_rows = (1 << capacity) - 1
-        self._row_bytes = (layout.total + 7) >> 3
+        # a built codec is a non-empty tuple: no call once the layout has one
+        self._codec = layout.shared.get(_codec) or _codec(layout)
 
     @property
     def full(self) -> bool:
@@ -128,14 +181,18 @@ class MemoryArray:
         """Row i's triplet value; raises IndexError outside 0..capacity-1."""
         if not 0 <= i < self.capacity:
             raise IndexError(f"row {i} out of range 0..{self.capacity - 1}")
-        w = self._row_bytes
-        return _from_bytes(self._rows[i * w:(i + 1) * w], "big")
+        k, w, escape, fa, cw, lm, cm, ft, lt, ct = self._codec
+        code = _from_bytes(self._rows[i * k:(i + 1) * k], "big")
+        if code == escape:
+            return _from_bytes(self._escape[i * w:(i + 1) * w], "big")
+        return ft[code >> fa] | lt[code >> cw & lm] | ct[code & cm]
 
     # --- micro-ops -------------------------------------------------------
 
     def micro_clear(self) -> None:
         """Drop all stored information: every row empty, valid, zeroed."""
-        self._rows = bytearray(self.capacity * self._row_bytes)
+        self._rows = bytearray(self.capacity * self._codec.code_bytes)
+        self._escape = None
         # _cols[k] has bit i set iff bit k of row(i) is set
         self._cols = [0] * self.layout.total
         self.valid = self._all_rows
@@ -195,7 +252,7 @@ class MemoryArray:
         quarter of the column OR.
         """
         rows = self._rows
-        w = self._row_bytes
+        k, w, escape, fa, cw, lm, cm, ft, lt, ct = self._codec
         budget = zeros.bit_count() >> 2
         left = match
         while left and budget:
@@ -203,8 +260,14 @@ class MemoryArray:
             i = left.bit_length() - 1
             row = 1 << i
             left ^= row
-            j = i * w
-            if _from_bytes(rows[j:j + w], "big") & zeros:
+            j = i * k
+            code = _from_bytes(rows[j:j + k], "big")
+            if code == escape:
+                j = i * w
+                value = _from_bytes(self._escape[j:j + w], "big")
+            else:
+                value = ft[code >> fa] | lt[code >> cw & lm] | ct[code & cm]
+            if value & zeros:
                 match ^= row
         if left:
             return self._drop_by_columns(match, zeros)
@@ -235,15 +298,18 @@ class MemoryArray:
         c = self.layout.class_bits
         live = self.valid & self.occupied
         rows = self._rows
-        w = self._row_bytes
+        codec = self._codec
+        k, cm, classes = codec.code_bytes, codec.class_mask, codec.classes
         union = 0
         budget = c
         left = live
         while left and budget:
             budget -= 1
             i = left.bit_length() - 1
-            j = i * w
-            union |= _from_bytes(rows[j:j + w], "big")
+            j = i * k
+            # the class field is the code's lowest, and all ones only in escape
+            field = _from_bytes(rows[j:j + k], "big") & cm
+            union |= classes[field] if field != cm else self.row(i)
             left ^= 1 << i
         if left:
             # the class section is the lowest, so column k is class bit k
@@ -271,15 +337,32 @@ class MemoryArray:
         i = row.bit_length() - 1
         cols = self._cols
         rows = self._rows
-        w = self._row_bytes
-        j = i * w
+        k, w, escape, fa, cw, lm, cm, ft, lt, ct = self._codec
         value = triplet.value
-        changed = _from_bytes(rows[j:j + w], "big") ^ value
+        j = i * k
+        old = _from_bytes(rows[j:j + k], "big")
+        old = (ft[old >> fa] | lt[old >> cw & lm] | ct[old & cm] if old != escape
+               else _from_bytes(self._escape[i * w:(i + 1) * w], "big"))
+        changed = old ^ value
         while changed:  # flip the columns where old and new row differ
-            k = changed.bit_length() - 1
-            cols[k] ^= row
-            changed ^= 1 << k
-        rows[j:j + w] = value.to_bytes(w, "big")
+            b = changed.bit_length() - 1
+            cols[b] ^= row
+            changed ^= 1 << b
+        c = layout.class_bits
+        lc = c + layout.location_bits
+        feature = value >> lc
+        location = (value ^ feature << lc) >> c
+        class_ = value & ((1 << c) - 1)
+        # a section's field is its bit length, if no section holds two 1s:
+        # so when the row holds one 1 for each nonzero section
+        if value.bit_count() == (feature != 0) + (location != 0) + (class_ != 0):
+            rows[j:j + k] = (feature.bit_length() << fa | location.bit_length() << cw
+                             | class_.bit_length()).to_bytes(k, "big")
+        else:
+            rows[j:j + k] = escape.to_bytes(k, "big")
+            if self._escape is None:
+                self._escape = bytearray(self.capacity * w)
+            self._escape[i * w:(i + 1) * w] = value.to_bytes(w, "big")
         self.occupied |= row
         self.valid |= row
         return i
@@ -320,12 +403,17 @@ class MemoryArray:
         read row by row, highest first: one step per row, so worth it only
         for a few rows."""
         table = self._rows
-        w = self._row_bytes
+        k, w, escape, fa, cw, lm, cm, ft, lt, ct = self._codec
         value = 0
         while rows:
             i = rows.bit_length() - 1
-            j = i * w
-            value |= _from_bytes(table[j:j + w], "big")
+            j = i * k
+            code = _from_bytes(table[j:j + k], "big")
+            if code == escape:
+                j = i * w
+                value |= _from_bytes(self._escape[j:j + w], "big")
+            else:
+                value |= ft[code >> fa] | lt[code >> cw & lm] | ct[code & cm]
             rows ^= 1 << i
         return value
 
@@ -334,13 +422,11 @@ class MemoryArray:
     def to_image(self) -> str:
         """One row per line: `index feature|location|class V E`. Bit-exact."""
         pretty = self.layout.pretty_value
-        rows = self._rows
-        w = self._row_bytes
+        row = self.row
         # row i's valid and empty bits, as characters indexed by i
         valid = format(self.valid, f"0{self.capacity}b")[::-1]
         empty = format(self._all_rows ^ self.occupied, f"0{self.capacity}b")[::-1]
-        lines = [f"{i} {pretty(_from_bytes(rows[j:j + w], 'big'))} {v} {e}"
-                 for i, (j, v, e) in enumerate(zip(range(0, len(rows), w), valid, empty))]
+        lines = [f"{i} {pretty(row(i))} {v} {e}" for i, v, e in zip(count(), valid, empty)]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -453,9 +539,13 @@ class MemoryArray:
             raise error(ValueError, "feature section is zero")
         if not khot_features and one & occupied != occupied:
             raise error(ValueError, "feature section is not one-hot")
+        # rows, dead ones too, with two or more 1s in some section
+        escaped = some ^ one
         for name, section in (("location", cols[c:lc]), ("class", cols[:c])):
-            if _hot_rows(section)[1] & occupied != occupied:
+            some, one = _hot_rows(section)
+            if one & occupied != occupied:
                 raise error(ValueError, f"{name} section is not one-hot")
+            escaped |= some ^ one
         live = list(compress(bits, map("0".__eq__, e)))
         if len(set(live)) != len(live):
             # on the shortest failing prefix the last row is live, as is
@@ -472,7 +562,29 @@ class MemoryArray:
         # store and zero columns only for them to be replaced
         mem = cls.__new__(cls)
         mem._shape(layout, n)
-        mem._rows = bytearray(int(padded, 2).to_bytes(w * n, "big"))
+        codec = mem._codec
+        # each code bit, lowest first, as a row bitmap: an escaped row sets
+        # every field bit, and bit t of a field is the OR of the section's
+        # columns whose field value, position + 1, has bit t set
+        code_bits = []
+        for lo, hi in ((0, c), (c, lc), (lc, total)):
+            section = cols[lo:hi]
+            for t in range((hi - lo + 1).bit_length()):
+                bit = escaped
+                for field, col in enumerate(section, 1):
+                    if field >> t & 1:
+                        bit |= col
+                code_bits.append(bit)
+        # transpose in one step: row i's code is the characters
+        # [i * step, (i + 1) * step) of one bit text, code bit b at the
+        # step - 1 - b-th, each code bit's characters a stride slice
+        step = 8 * codec.code_bytes
+        text = bytearray(b"0" * (step * n))
+        for b, bit in enumerate(code_bits):
+            text[step - 1 - b::step] = format(bit, f"0{n}b")[::-1].encode()
+        mem._rows = bytearray(int(text, 2).to_bytes(codec.code_bytes * n, "big"))
+        # every row in full, but only an escaped row's bytes are read
+        mem._escape = bytearray(int(padded, 2).to_bytes(w * n, "big")) if escaped else None
         mem._cols = cols
         mem.valid = valid
         mem.occupied = occupied

@@ -76,11 +76,9 @@ def load_image(text: str, layout: SdrLayout, khot_features: bool = True) -> Memo
     lc = total - f
     location_mask = (1 << layout.location_bits) - 1
     class_mask = (1 << layout.class_bits) - 1
-    w = (total + 7) >> 3
-    packed: list[bytes] = []                      # each row's w bytes
-    raws: list[str] = []                          # each row's bits, no '|'
+    values: list[int] = []                        # each row's triplet value
     valid_text: list[str] = []
-    occupied_text: list[str] = []
+    dead_text: list[str] = []
     first_line: dict[int, int] = {}              # triplet -> image line
     class_valid: dict[int, tuple[str, int]] = {}  # class -> (V, image line)
     for n, line in enumerate(text.splitlines(), 1):
@@ -92,7 +90,7 @@ def load_image(text: str, layout: SdrLayout, khot_features: bool = True) -> Memo
         index, bits_text, v, e = parts
         if not (index.isascii() and index.isdigit()):
             raise ValueError(f"image line {n}: index {index!r} is not an integer")
-        if len(index) > _INDEX_DIGITS or int(index) != len(packed):
+        if len(index) > _INDEX_DIGITS or int(index) != len(values):
             raise ValueError(f"image line {n}: index {index} out of order")
         if v not in ("0", "1") or e not in ("0", "1"):
             raise ValueError(f"image line {n}: V/E must be 0 or 1")
@@ -126,18 +124,17 @@ def load_image(text: str, layout: SdrLayout, khot_features: bool = True) -> Memo
             if class_v != v:
                 raise ValueError(f"image line {n}: valid bit {v} differs from image "
                                  f"line {class_line} of the same class")
-        packed.append(value.to_bytes(w, "big"))
-        raws.append(raw)
+        values.append(value)
         valid_text.append(v)
-        occupied_text.append("1" if e == "0" else "0")
-    if not packed:
+        dead_text.append(e)
+    if not values:
         raise ValueError("memory image has no rows")
-    mem = MemoryArray.__new__(MemoryArray)
-    mem._shape(layout, len(packed))
-    mem._rows = bytearray(b"".join(packed))
+    # every row stored in turn lands in the next row; then the dead ones are
+    # released and the V bits set
+    mem = MemoryArray(layout, len(values))
+    for value in values:
+        mem.micro_store(Bits(value, total))
+    mem.valid = int("".join(reversed(dead_text)), 2)
+    mem.micro_delete()
     mem.valid = int("".join(reversed(valid_text)), 2)
-    mem.occupied = int("".join(reversed(occupied_text)), 2)
-    mem.valid_entry = False
-    mem._cols = [sum(int(raw[total - 1 - k]) << i for i, raw in enumerate(raws))
-                 for k in range(total)]
     return mem

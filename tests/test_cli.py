@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from nertcam import SdrLayout
+from nertcam import NertcamConfig, SdrLayout, System
 from nertcam.cli import main
-from nertcam.workload import (fuzz_records, generate_dataset, infer_trace,
+from nertcam.traces import TraceRecord
+from nertcam.workload import (fuzz_records, generate_dataset, infer_trace, replay_records,
                               store_trace)
 
 L_SMALL = SdrLayout(8, 9, 4)  # 3x3 grid
@@ -128,6 +129,34 @@ def test_run_identifies_every_object(tmp_path, capsys):
     infer_reports = [r for r in records if r["op"] == "INFER"]
     assert all(set(r) >= {"seq", "feature", "location", "outcome", "cycles"}
                for r in infer_reports)
+
+
+def test_replay_counts_a_context_switch_as_a_new_identification():
+    """An INFER, with no RESET first, on a pair that only another class
+    holds switches context: it counts once, and its sensation is the first
+    of a new identification, which its one-hot class output completes."""
+    r = TraceRecord
+    records = [r("STORE", feature=0, location=0, class_=0),
+               r("STORE", feature=0, location=0, class_=1),
+               r("STORE", feature=1, location=1, class_=0),
+               r("STORE", feature=2, location=2, class_=1),
+               r("RESET"),
+               r("INFER", feature=0, location=0),  # classes 0 and 1: not yet one-hot
+               r("INFER", feature=1, location=1),  # class 0 at sensation 2
+               r("INFER", feature=2, location=2),  # only class 1 holds it: a switch
+               r("INFER", feature=0, location=0),  # still class 1, already counted
+               r("INFER", feature=3, location=3),  # stored nowhere: the cycle restarts
+               r("INFER", feature=2, location=2)]  # class 1 at sensation 1
+    lines: list[str] = []
+    summary = replay_records(System(NertcamConfig(SdrLayout(4, 4, 2), 8)), records,
+                             lines.append)
+    outcomes = [json.loads(line)["outcome"] for line in lines[5:]]
+    assert outcomes == ["SUCCESS", "SUCCESS", "CONTEXT_SWITCH", "SUCCESS", "INFER_FAILED",
+                        "SUCCESS"]
+    assert summary.context_switches == 1
+    assert summary.identifications == 3
+    assert summary.sensations_to_one_hot == [2, 1, 1]
+    assert summary.errors == {"INFER_FAILED": 1}
 
 
 def test_run_continues_past_duplicate_store(tmp_path, capsys):

@@ -322,43 +322,70 @@ def test_or_rows_matches_row_by_row_or_over_many_digits():
             assert mem.or_rows(rows, lo, hi) == expected
 
 
-class _ReadLog:
-    """Logs each read under one name, so that a test can tell how the array
-    was read: a walk reads rows, a scan _cols. Mixed into the type it
-    stands in for."""
+class _RowReadLog(bytearray):
+    """A row buffer of size bytes a row that logs (name, row index) for each
+    row read, so that a test can tell which rows a walk read."""
 
-    def __init__(self, items, log, name):
+    def __init__(self, items, log, name, size):
         super().__init__(items)
         self.log = log
         self.name = name
+        self.size = size
 
     def __getitem__(self, key):
-        self.log.append(self.name)
+        self.log.append((self.name, key.start // self.size))
         return super().__getitem__(key)
 
 
-class _RowReadLog(_ReadLog, bytearray):
-    pass
+class _ColumnReadLog(list):
+    """_cols that logs "scan" for each read: a scan reads columns, not rows."""
 
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
 
-class _ColumnReadLog(_ReadLog, list):
-    pass
+    def __getitem__(self, key):
+        self.log.append("scan")
+        return super().__getitem__(key)
 
 
 def _spied_memory(layout, capacity, rng):
-    """A memory of random rows, a tenth of them deleted (dead rows keep their
-    bits), with the row store and _cols logging their reads; returns
-    (memory, log)."""
+    """A memory of rows, half of random bits and half one-hot triplets, a
+    tenth of them deleted (dead rows keep their bits), with the code buffer,
+    the escape buffer of the rows held in full and _cols logging their
+    reads; returns (memory, log)."""
     width = layout.total
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
     mem = MemoryArray(layout, capacity)
     for _ in range(capacity):
-        mem.micro_store(Bits(rng.getrandbits(width), width))
+        mem.micro_store(Bits(rng.getrandbits(width), width) if rng.random() < 0.5
+                        else layout.triplet(rng.randrange(f), rng.randrange(l), rng.randrange(c)))
     mem.valid = sum(1 << i for i in rng.sample(range(capacity), capacity // 10))
     mem.micro_delete()
-    log: list[str] = []
-    mem._rows = _RowReadLog(mem._rows, log, "walk")
-    mem._cols = _ColumnReadLog(mem._cols, log, "scan")
+    log: list = []
+    codec = mem._codec
+    mem._rows = _RowReadLog(mem._rows, log, "code", codec.code_bytes)
+    mem._escape = _RowReadLog(mem._escape, log, "escape", codec.row_bytes)
+    mem._cols = _ColumnReadLog(mem._cols, log)
     return mem, log
+
+
+def _escaped(layout, value):
+    """Does a row of this value have two or more 1s in some section, and so
+    sit in full in the escape buffer?"""
+    return any(section.popcount > 1 for section in split(layout, Bits(value, layout.total)))
+
+
+def _read_once(mem, log, rows):
+    """Did the log record one read of each row set in the rows bitmap,
+    highest first: its code, and its full bytes right after when escaped?"""
+    read = list(log)  # before row() below logs reads of its own
+    expected = []
+    for i in reversed(rows_of(rows)):
+        expected.append(("code", i))
+        if _escaped(mem.layout, mem.row(i)):
+            expected.append(("escape", i))
+    return read == expected
 
 
 def test_or_rows_scans_columns_and_walk_rows_reads_rows():
@@ -380,7 +407,7 @@ def test_or_rows_scans_columns_and_walk_rows_reads_rows():
                 expected |= mem.row(i)
             log.clear()
             assert mem.walk_rows(rows) == expected
-            assert log == ["walk"] * count
+            assert _read_once(mem, log, rows)
             for lo, hi in ranges:
                 log.clear()
                 assert mem.or_rows(rows, lo, hi) == expected >> lo & ((1 << (hi - lo)) - 1)
@@ -432,7 +459,7 @@ def test_condense_matches_row_by_row_on_both_sides_of_the_walk(monkeypatch):
                 assert out == PredictionOutput(**{**expected, gated: zero[gated]})
                 if count * 2 <= columns:
                     # one walk, each matched row read once
-                    assert log == ["walk"] * count and scans == []
+                    assert _read_once(mem, log, matched) and scans == []
                     seen.add((kind, "walk"))
                 else:
                     # one slice of _cols per section range, no row read
@@ -533,6 +560,19 @@ def test_store_reports_full():
     image = mem.to_image()
     assert mem.micro_store(B("010|010|001")) is None
     assert mem.to_image() == image  # memory unchanged on a failed store
+
+
+def test_micro_ops_reject_operands_of_the_wrong_width():
+    """A lookup's query or mask, or a stored triplet, of a width other than
+    the layout's raises LayoutError and leaves the array as it was."""
+    mem = mem333("001|010|100")
+    image = mem.to_image()
+    for query, dc in ((B("0010101000"), Bits.zeros(9)), (B("001|010|100"), Bits.zeros(8))):
+        with pytest.raises(LayoutError, match=r"^SDR width (10|8) != layout total 9$"):
+            mem.micro_lookup(query, dc)
+    with pytest.raises(LayoutError, match=r"^SDR width 8 != layout total 9$"):
+        mem.micro_store(B("00101010"))
+    assert mem.to_image() == image and mem.valid_entry is False
 
 
 def test_store_then_exact_lookup_matches():
@@ -788,7 +828,8 @@ def _load_or_error(load, text, layout, *flags):
         mem = load(text, layout, *flags)
     except ValueError as exc:
         return type(exc), str(exc)
-    return bytes(mem._rows), mem._cols, mem.valid, mem.occupied, mem.capacity
+    rows = [mem.row(i) for i in range(mem.capacity)]
+    return rows, mem._cols, mem.valid, mem.occupied, mem.capacity
 
 
 @pytest.mark.parametrize("layout", [SdrLayout(3, 3, 3), SdrLayout(4, 2, 2),
@@ -811,9 +852,9 @@ def test_image_load_matches_the_line_by_line_reference(layout):
         assert _load_or_error(MemoryArray.from_image, text, layout, True) == expected, text
         one_hot = _load_or_error(load_image, text, layout, False)
         assert _load_or_error(MemoryArray.from_image, text, layout, False) == one_hot, text
-        one_hot_accepted += isinstance(one_hot[0], bytes)
+        one_hot_accepted += isinstance(one_hot[0], list)
         khot_refused += str(one_hot[-1]).endswith(": feature section is not one-hot")
-        if isinstance(expected[0], bytes):
+        if isinstance(expected[0], list):
             accepted += 1
             edited_and_accepted += edits > 0
         else:
@@ -905,11 +946,101 @@ def test_row_store_is_exact_at_byte_boundaries(layout):
     assert (loaded._cols, loaded.valid, loaded.occupied) == (mem._cols, mem.valid, mem.occupied)
 
 
+def _check_rows(mem, values, rng):
+    """Every row reads back as values holds it, the columns are the rows'
+    transpose, and lookups match equality_match row by row."""
+    capacity, width = mem.capacity, mem.layout.total
+    assert [mem.row(i) for i in range(capacity)] == values
+    assert mem._cols == [sum((value >> k & 1) << i for i, value in enumerate(values))
+                         for k in range(width)]
+    occupied, valid = mem.occupied, mem.valid
+    for _ in range(100):
+        query = Bits(rng.choice(values) if rng.random() < 0.8 else rng.getrandbits(width), width)
+        dc = Bits(rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width), width)
+        scope = rng.choice((LookupScope.ALL, LookupScope.VALID_ONLY))
+        mem.valid = rng.getrandbits(capacity)
+        scoped = occupied if scope is LookupScope.ALL else occupied & mem.valid
+        expected = sum(1 << i for i, value in enumerate(values)
+                       if scoped >> i & 1 and equality_match(Bits(value, width), query, dc))
+        assert mem.micro_lookup(query, dc, scope) == (expected, expected != 0)
+    mem.valid = valid
+
+
+@pytest.mark.parametrize("layout", [SdrLayout(3, 7, 1), SdrLayout(8, 4, 4),
+                                    SdrLayout(128, 25, 10)],
+                         ids=lambda layout: f"{layout.total}bits")
+def test_rows_read_back_through_their_codes(layout):
+    """Rows with a zero section, one-hot rows and rows with two or more 1s
+    in a section (held in full in the escape buffer, allocated with the
+    first of them) read back exactly, live or dead: stored, deleted and
+    stored over with the other kind in both directions, and through an
+    image round trip that loads as the line-by-line reference does."""
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    width = layout.total
+    rng = random.Random(width)
+    capacity = 48
+
+    def draw(escaped):
+        while True:
+            hot = [rng.sample(range(size), min(size, rng.choice((0, 1, 1, 1, 2, 5))))
+                   for size in (f, l, c)]
+            value = sum(1 << (p + (l + c, c, 0)[s]) for s in range(3) for p in hot[s])
+            if _escaped(layout, value) == escaped:
+                return value
+
+    mem = MemoryArray(layout, capacity)
+    values = [draw(False) for _ in range(4)] + [draw(i % 3 == 0) for i in range(capacity - 4)]
+    for i, value in enumerate(values):
+        assert mem.micro_store(Bits(value, width)) == i
+        assert (mem._escape is None) == (i < 4)
+    _check_rows(mem, values, rng)
+    # a third of the rows released keep their values, and each is stored
+    # over with a row of the other kind
+    dead = sorted(rng.sample(range(capacity), capacity // 3))
+    mem.valid = sum(1 << i for i in dead)
+    mem.micro_delete()
+    _check_rows(mem, values, rng)
+    was_escaped = [_escaped(layout, values[i]) for i in dead]
+    assert True in was_escaped and False in was_escaped
+    for i, escaped in zip(dead, was_escaped):
+        values[i] = draw(not escaped)
+        assert mem.micro_store(Bits(values[i], width)) == i
+    _check_rows(mem, values, rng)
+    kinds = {"escaped" if _escaped(layout, value) else
+             "one-hot" if all(s.popcount for s in split(layout, Bits(value, width))) else
+             "zero section" for value in values}
+    assert kinds == {"zero section", "escaped", "one-hot"}
+    # an image holds live only the rows a device may hold; the rest stay dead
+    seen = set()
+    for i, value in enumerate(values):
+        feature, location, class_ = split(layout, Bits(value, width))
+        if feature.popcount and location.popcount == class_.popcount == 1 and value not in seen:
+            seen.add(value)
+        else:
+            mem.valid = 1 << i
+            mem.micro_delete()
+    mem.micro_reset()
+    assert 5 <= mem.occupancy < capacity
+    image = mem.to_image()
+    loaded = MemoryArray.from_image(image, layout)
+    assert loaded._escape is not None
+    _check_rows(loaded, values, rng)
+    assert (loaded.valid, loaded.occupied) == (mem.valid, mem.occupied)
+    assert loaded.to_image() == image
+    reference = load_image(image, layout)
+    assert [reference.row(i) for i in range(capacity)] == values
+    assert (reference._cols, reference.valid, reference.occupied) == \
+        (loaded._cols, loaded.valid, loaded.occupied)
+    # a clear drops the escape buffer with every row
+    loaded.micro_clear()
+    assert loaded._escape is None and loaded.to_image() == MemoryArray(layout, capacity).to_image()
+
+
 def test_full_scale_array_holds_no_object_per_row():
     """A 16,384-row array at the full-scale layout, loaded from an image of
-    16,000 live rows, holds at most 0.80 MB: 21 bytes a row in the row
-    store and 163 column bitmaps of 2 KB each. An int object per row would
-    add about 0.5 MB more."""
+    16,000 live rows with k-hot features, holds at most 0.80 MB: 21 bytes a
+    row in the escape buffer, a 3-byte code a row, and 163 column bitmaps
+    of 2 KB each. An int object per row would add about 0.5 MB more."""
     layout = SdrLayout(128, 25, 10)
     capacity, live = 16384, 16000
     pretty = layout.pretty_value
@@ -930,6 +1061,30 @@ def test_full_scale_array_holds_no_object_per_row():
         tracemalloc.stop()
     assert (mem.capacity, mem.occupancy) == (capacity, live)
     assert held <= 0.80e6, f"{held / 1e6:.3f} MB"
+
+
+def test_full_scale_one_hot_array_holds_a_code_per_row():
+    """A 16,384-row array at the full-scale layout, loaded from an image of
+    16,000 distinct one-hot rows, holds at most 0.45 MB: a 3-byte code a
+    row, no escape buffer, and 163 column bitmaps of 2 KB each."""
+    layout = SdrLayout(128, 25, 10)
+    capacity, live = 16384, 16000
+    pretty = layout.pretty_value
+    # every feature, location and class 0 to 4 once together
+    values = [layout.triplet(i % 128, i // 128 % 25, i // 3200).value for i in range(live)]
+    lines = [f"{i} {pretty(value)} 1 0" for i, value in enumerate(values)]
+    lines += [f"{i} {pretty(0)} 1 1" for i in range(live, capacity)]
+    text = "\n".join(lines) + "\n"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mem = MemoryArray.from_image(text, layout)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (mem.capacity, mem.occupancy, mem._escape) == (capacity, live, None)
+    assert [mem.row(i) for i in range(0, live, 997)] == values[::997]
+    assert held <= 0.45e6, f"{held / 1e6:.3f} MB"
 
 
 def test_image_checks_only_non_empty_rows():
