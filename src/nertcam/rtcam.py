@@ -17,11 +17,22 @@ for an all-zero section, p + 1 for a single 1 at section bit p, in
 163-bit layout, where the row's bits take 21. A row with two or more 1s in
 some section, such as a k-hot feature, gets the escape code, every field
 all ones, and its bits, ceil(total / 8) bytes big-endian, go in a second
-buffer, allocated with the first such row. A lookup ANDs together the
-columns of the query's cared 1-positions, then drops the candidates that
-hold a 1 at a cared 0-position, and a validate ORs the class columns of
-the classes it keeps. Each such operation on a row bitmap touches one bit
-per row.
+buffer, allocated with the first such row; the row bitmap _escaped
+marks them. A lookup ANDs together the columns of the query's cared
+1-positions, then drops the candidates that hold a 1 at a cared
+0-position, and a validate ORs the class columns of the classes it
+keeps. Each such operation on a row bitmap touches one bit per row.
+
+The drop skips the coded candidates where they cannot fail. A coded row
+holds at most one 1 per section, so once a cared 1-position has narrowed
+a section, every coded candidate holds 0 at that section's other
+positions. The escaped candidates are checked against every cared
+0-position, and all candidates only against the cared 0-positions of
+the sections that no cared 1-position narrowed. A well-formed STORE,
+DELETE, INFER or PREDICT_LOCATION lookup, or an unpadded
+PREDICT_FEATURE, has no such section, so on one-hot rows it drops
+nothing and reads no row. This holds on rows of any bits, since a row
+with two 1s in a section is escaped.
 
 Three kinds of step walk a set of rows instead: dropping candidates by
 checking their rows, validate's union of the valid rows' classes, and
@@ -37,8 +48,9 @@ bound once per walk: a call to row() would add a method call and a range
 check, about half as much again as the read. So a micro-op
 costs a number of big-integer operations set by the layout width, not by
 the row count. Lookup and validate apply no popcount, negation or
-complement to a row bitmap: in CPython each of these runs over every
-digit of the bitmap, and the last two build a new one as well.
+complement to a row bitmap, and store finds its free row without a
+negation: in CPython each of these runs over every digit of the bitmap,
+and the last two build a new one as well.
 
 A memory image loads the same way, with no Python step per line. Its
 lines are split once, and string operations over all rows check the
@@ -111,6 +123,7 @@ class _Codec(NamedTuple):
     features: list[int]
     locations: list[int]
     classes: list[int]
+    sections: tuple[int, int, int]  # the row bits of each section
 
 
 def _codec(layout: SdrLayout) -> _Codec:
@@ -124,7 +137,8 @@ def _codec(layout: SdrLayout) -> _Codec:
         location_mask=(1 << lw) - 1, class_mask=(1 << cw) - 1,
         features=[0] + [1 << k for k in range(l + c, layout.total)],
         locations=[0] + [1 << k for k in range(c, l + c)],
-        classes=[0] + [1 << k for k in range(c)])
+        classes=[0] + [1 << k for k in range(c)],
+        sections=((1 << layout.total) - (1 << l + c), (1 << l + c) - (1 << c), (1 << c) - 1))
     return codec
 
 
@@ -142,8 +156,9 @@ class MemoryArray:
     the escape code has its triplet value in bytes [i * w, (i + 1) * w) of
     a second bytearray, w = ceil(layout.total / 8). That buffer comes with
     the first such row, stored or loaded, and only those rows' bytes in it
-    are read; a cleared array has none. row(i) decodes row i; the
-    micro-ops' row walks decode inline.
+    are read; a cleared array has none. _escaped is the row bitmap of the
+    rows whose code is the escape code, dead rows too. row(i) decodes row
+    i; the micro-ops' row walks decode inline.
     valid and occupied are row bitmaps (bit i for row i), as is each of the
     layout.total columns. A cleared or deleted row keeps whatever bits it
     held (they are dead; the occupied bit gates every match). Cleared rows
@@ -181,7 +196,7 @@ class MemoryArray:
         """Row i's triplet value; raises IndexError outside 0..capacity-1."""
         if not 0 <= i < self.capacity:
             raise IndexError(f"row {i} out of range 0..{self.capacity - 1}")
-        k, w, escape, fa, cw, lm, cm, ft, lt, ct = self._codec
+        k, w, escape, fa, cw, lm, cm, ft, lt, ct, _ = self._codec
         code = _from_bytes(self._rows[i * k:(i + 1) * k], "big")
         if code == escape:
             return _from_bytes(self._escape[i * w:(i + 1) * w], "big")
@@ -193,6 +208,8 @@ class MemoryArray:
         """Drop all stored information: every row empty, valid, zeroed."""
         self._rows = bytearray(self.capacity * self._codec.code_bytes)
         self._escape = None
+        # row bitmap of the rows whose code is the escape code
+        self._escaped = 0
         # _cols[k] has bit i set iff bit k of row(i) is set
         self._cols = [0] * self.layout.total
         self.valid = self._all_rows
@@ -223,20 +240,32 @@ class MemoryArray:
         if scope is not LookupScope.ALL:
             match &= self.valid
         cols = self._cols
-        ones = q & care
-        narrowed = ones != 0
+        cared = ones = q & care
         while ones and match:  # AND the cared 1-positions' columns, highest first
             k = ones.bit_length() - 1
             match &= cols[k]
             ones ^= 1 << k
-        zeros = care ^ (care & q)
+        zeros = care ^ cared
         if match and zeros:
-            # with no cared 1-position, as in a padded PREDICT_FEATURE, the
-            # candidates are every row in scope: too many to check one by one
-            if narrowed:
-                match = self._drop_by_rows(match, zeros)
-            else:
+            if not cared:
+                # no cared 1-position, as in a padded PREDICT_FEATURE: the
+                # candidates are every row in scope, too many to check one by one
                 match = self._drop_by_columns(match, zeros)
+            else:
+                # a coded row holds at most one 1 per section: where a cared
+                # 1-position narrowed a section, a coded candidate holds 0 at
+                # every other position of it. So only the escaped candidates
+                # are checked against every cared 0-position, and all of them
+                # against those of the sections with no cared 1-position.
+                escaped = match & self._escaped
+                if escaped:
+                    match ^= escaped ^ self._drop_by_rows(escaped, zeros)
+                free = zeros
+                for section in self._codec.sections:
+                    if cared & section:
+                        free ^= free & section
+                if free and match:
+                    match = self._drop_by_rows(match, free)
         any_hit = match != 0
         self.valid = match
         self.valid_entry = any_hit
@@ -252,7 +281,7 @@ class MemoryArray:
         quarter of the column OR.
         """
         rows = self._rows
-        k, w, escape, fa, cw, lm, cm, ft, lt, ct = self._codec
+        k, w, escape, fa, cw, lm, cm, ft, lt, ct, _ = self._codec
         budget = zeros.bit_count() >> 2
         left = match
         while left and budget:
@@ -333,11 +362,13 @@ class MemoryArray:
         free = self._all_rows ^ self.occupied
         if not free:
             return None
-        row = free & -free
-        i = row.bit_length() - 1
+        # the lowest free row, without the negation of free & -free: in
+        # CPython a negative operand costs a two's-complement pass
+        i = (free ^ (free - 1)).bit_length() - 1
+        row = 1 << i
         cols = self._cols
         rows = self._rows
-        k, w, escape, fa, cw, lm, cm, ft, lt, ct = self._codec
+        k, w, escape, fa, cw, lm, cm, ft, lt, ct, _ = self._codec
         value = triplet.value
         j = i * k
         old = _from_bytes(rows[j:j + k], "big")
@@ -358,8 +389,11 @@ class MemoryArray:
         if value.bit_count() == (feature != 0) + (location != 0) + (class_ != 0):
             rows[j:j + k] = (feature.bit_length() << fa | location.bit_length() << cw
                              | class_.bit_length()).to_bytes(k, "big")
+            if self._escaped & row:
+                self._escaped ^= row
         else:
             rows[j:j + k] = escape.to_bytes(k, "big")
+            self._escaped |= row
             if self._escape is None:
                 self._escape = bytearray(self.capacity * w)
             self._escape[i * w:(i + 1) * w] = value.to_bytes(w, "big")
@@ -403,7 +437,7 @@ class MemoryArray:
         read row by row, highest first: one step per row, so worth it only
         for a few rows."""
         table = self._rows
-        k, w, escape, fa, cw, lm, cm, ft, lt, ct = self._codec
+        k, w, escape, fa, cw, lm, cm, ft, lt, ct, _ = self._codec
         value = 0
         while rows:
             i = rows.bit_length() - 1
@@ -585,6 +619,7 @@ class MemoryArray:
         mem._rows = bytearray(int(text, 2).to_bytes(codec.code_bytes * n, "big"))
         # every row in full, but only an escaped row's bytes are read
         mem._escape = bytearray(int(padded, 2).to_bytes(w * n, "big")) if escaped else None
+        mem._escaped = escaped
         mem._cols = cols
         mem.valid = valid
         mem.occupied = occupied

@@ -78,8 +78,8 @@ _ALL, _VALID_ONLY = LookupScope.ALL, LookupScope.VALID_ONLY
 class CycleTrace(NamedTuple):
     """One clock cycle of controller activity, for trace output.
 
-    A named tuple, not a dataclass: step() builds one every cycle, through
-    tuple.__new__ rather than the generated Python-level __new__.
+    A named tuple, not a dataclass: a traced step() builds one every cycle,
+    through tuple.__new__ rather than the generated Python-level __new__.
     """
 
     cycle: int
@@ -136,8 +136,10 @@ class Controller:
         self.completion = None
         return True
 
-    def step(self) -> CycleTrace | None:
-        """Advance one clock cycle; no-op when idle."""
+    def step(self, trace: bool = True) -> CycleTrace | None:
+        """Advance one clock cycle; no-op when idle. Returns the cycle's
+        CycleTrace, or None when idle or when trace is false: System.run
+        steps without one, since it reads only the completion."""
         p = self._pending
         if p is None:
             return None
@@ -152,8 +154,10 @@ class Controller:
             micro = self._step_ir(p)
         else:
             micro = self._step_sl(p)
-        return _tuple_new(CycleTrace, (self.cycle_count, before, self.state, micro,
-                                       self.memory.valid_entry, p.outcome))
+        if trace:
+            return _tuple_new(CycleTrace, (self.cycle_count, before, self.state, micro,
+                                           self.memory.valid_entry, p.outcome))
+        return None
 
     # --- per-state actions -------------------------------------------------
 

@@ -17,7 +17,7 @@ The per-command path is kept lean, because with the array bit-sliced the
 Python calls around it cost more than the array operations. The value
 objects a command builds (Bits, MacroCommand, Completion,
 PredictionOutput, Response) are slotted dataclasses. Bits, MacroCommand,
-PredictionOutput and Response, frozen and built on every command, are
+PredictionOutput and Response, frozen and built per command, are
 declared with sdr.value_object, whose __init__ sets each slot through its
 member descriptor's setter: the generated __init__ of a frozen class goes
 through object.__setattr__ for each field, at about twice the cost.
@@ -27,7 +27,11 @@ tests all three sections in one boolean pass, and SdrLayout.triplet sets
 an int index inline; each calls a helper only to raise an error or to
 take a k-hot feature. Width checks compare inline and call check_width
 only to raise. run() and Controller.accept read the pending command
-directly, not through the busy property. Each layer stays one called
+directly, not through the busy property. run() steps the controller
+with its trace off, so no CycleTrace is built, and a command with no
+output (CLEAR, RESET, STORE, DELETE and INFER_FAILED) answers with a
+Response shared per layout, one per (outcome, full, cycles), built on
+first use rather than with the System. Each layer stays one called
 function (validate_command, build_dc, Controller.step once per cycle,
 each micro-op and condense), so a traced run still sees every span.
 """
@@ -96,6 +100,20 @@ class Response:
         return self.outcome in ERROR_OUTCOMES
 
 
+def _output_free(layout: SdrLayout, outcome: Outcome, full: bool, cycles: int) -> Response:
+    """The Response of a command with no output (CLEAR, RESET, STORE, DELETE
+    and INFER_FAILED): one per (outcome, full, cycles), at most 40 per
+    layout, built on first use and kept in layout.shared."""
+    responses = layout.shared.get(_output_free)
+    if responses is None:
+        responses = layout.shared[_output_free] = {}
+    key = (outcome, full, cycles)
+    response = responses.get(key)
+    if response is None:
+        response = responses[key] = Response(outcome, full, zero_output(layout), cycles)
+    return response
+
+
 class System:
     """The device facade: submit/step/run plus memory images."""
 
@@ -150,7 +168,7 @@ class System:
             raise BusyError("run() requires an idle device")
         self.submit(cmd)
         while controller.completion is None:
-            controller.step()
+            controller.step(False)
         return self._respond()
 
     def _respond(self) -> Response:
@@ -161,11 +179,12 @@ class System:
         memory = self.memory
         if done.matched is not None:  # a PREDICT's lookup
             prediction = condense(done.matched, done.kind, memory)
+        elif done.classes is not None:  # an INFER's validated classes
+            zero = zero_output(memory.layout)
+            prediction = PredictionOutput(zero.features, zero.locations, done.classes)
         else:
-            prediction = zero_output(memory.layout)
-            if done.classes is not None:  # an INFER's validated classes
-                prediction = PredictionOutput(prediction.features, prediction.locations,
-                                              done.classes)
+            self.response = _output_free(memory.layout, done.outcome, memory.full, done.cycles)
+            return self.response
         self.response = Response(done.outcome, memory.full, prediction, done.cycles)
         return self.response
 

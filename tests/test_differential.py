@@ -49,6 +49,33 @@ def test_fuzz_with_khot_features():
     assert run_diff(config, records) is None
 
 
+def test_mixed_one_hot_and_khot_rows_no_divergence(monkeypatch):
+    """A k-hot device at 16,25,8 with 256 rows takes one stream that
+    interleaves one-hot and k-hot fuzz records, less their CLEARs, so that
+    it fills with coded rows and rows held in full together. No record
+    diverges, and hundreds of lookups match both kinds of row at once."""
+    lookup = MemoryArray.micro_lookup
+    mixed = 0
+
+    def spy(self, *args):
+        nonlocal mixed
+        match, hit = lookup(self, *args)
+        mixed += bool(match & self._escaped) and bool(match & ~self._escaped)
+        return match, hit
+    monkeypatch.setattr(MemoryArray, "micro_lookup", spy)
+
+    config = NertcamConfig(layout=SdrLayout(16, 25, 8), capacity=256, khot_features=True)
+    one_hot = fuzz_records(config.layout, 3_000, seed=99)
+    khot = fuzz_records(config.layout, 3_000, seed=99, khot_features=True)
+    records = [r for pair in zip(one_hot, khot) for r in pair if r.op != "CLEAR"]
+    system = System(config)
+    assert diff_records(system, oracle_for(config), records) is None
+    memory = system.memory
+    assert memory.full
+    assert memory.occupied & memory._escaped and memory.occupied & ~memory._escaped
+    assert mixed >= 100
+
+
 def test_fuzz_is_seed_deterministic():
     layout = SdrLayout(4, 4, 4)
     assert fuzz_records(layout, 200, seed=3) == fuzz_records(layout, 200, seed=3)

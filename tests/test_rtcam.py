@@ -204,11 +204,16 @@ def test_read_paths_match_predicates_over_many_digits(monkeypatch):
     run out of budget and hand over to the column OR, the column OR
     alone, with or without a cared 1-position) and both ways validate
     builds its class union agree with the predicates row by row, for
-    candidates at low and high row indices."""
+    candidates at low and high row indices. Once a cared 1-position has
+    narrowed the candidates, the escaped ones are checked against every
+    cared 0-position, and then all of them against the cared 0-positions
+    of the sections that no cared 1-position narrowed."""
     calls: list[str] = []
+    drops: list[tuple[int, int]] = []  # each drop call's (match, zeros)
     for name in ("_drop_by_rows", "_drop_by_columns"):
         def spy(self, match, zeros, _name=name, _drop=getattr(MemoryArray, name)):
             calls.append(_name)
+            drops.append((match, zeros))
             return _drop(self, match, zeros)
         monkeypatch.setattr(MemoryArray, name, spy)
     or_rows = MemoryArray.or_rows
@@ -221,6 +226,8 @@ def test_read_paths_match_predicates_over_many_digits(monkeypatch):
     layout = SdrLayout(16, 8, 4)
     width = layout.total
     ones = (1 << width) - 1
+    c, lc = layout.class_bits, layout.location_bits + layout.class_bits
+    sections = [(1 << hi) - (1 << lo) for lo, hi in ((0, c), (c, lc), (lc, width))]
     rng = random.Random(11)
     seen = set()
     for capacity in (300, 1000):
@@ -249,31 +256,52 @@ def test_read_paths_match_predicates_over_many_digits(monkeypatch):
             query = Bits(query, width)
             mem.valid = valid
             calls.clear()
+            drops.clear()
             match, hit = mem.micro_lookup(query, dc, scope)
             expected = 0
             candidates = 0  # in-scope rows holding every cared 1-position
+            escaped = 0  # the candidates held in full
             cared_ones = query.value & ~dc.value
             for i, row in enumerate(map(mem.row, range(mem.capacity))):
                 in_scope = mem.occupied >> i & 1 and (
                     scope is LookupScope.ALL or valid >> i & 1)
                 if in_scope and equality_match(Bits(row, width), query, dc):
                     expected |= 1 << i
-                candidates += bool(in_scope and row & cared_ones == cared_ones)
+                if in_scope and row & cared_ones == cared_ones:
+                    candidates |= 1 << i
+                    escaped |= _escaped(layout, row) << i
             assert match == expected == mem.valid
             assert hit is (expected != 0)
-            # row checks are budgeted at a quarter of the cared 0-positions
-            budget = (len(cared) - cared_ones.bit_count()) // 4
-            if calls == ["_drop_by_rows"]:
-                assert candidates <= budget
-                seen.add("rows")
-            elif calls == ["_drop_by_columns"]:
-                # no cared 1-position narrowed the candidates
-                assert not cared_ones
-                seen.add("columns, not narrowed")
-            elif calls:
-                assert calls == ["_drop_by_rows", "_drop_by_columns"] and cared_ones
-                assert candidates > budget
-                seen.add("handover" if budget else "columns at once")
+            # the drop passes due: (name, candidates, cared 0-positions)
+            zeros = (ones ^ dc.value) & ~query.value
+            passes = []
+            if candidates and zeros and not cared_ones:
+                passes.append(("not narrowed", candidates, zeros))
+            elif candidates and zeros:
+                if escaped:
+                    passes.append(("escaped", escaped, zeros))
+                free = sum(zeros & s for s in sections if not cared_ones & s)
+                # the coded candidates, and the escaped ones that passed
+                left = candidates ^ escaped | escaped & expected
+                if free and left:
+                    passes.append(("free", left, free))
+            for name, rows, cared_zeros in passes:
+                assert drops[0] == (rows, cared_zeros)
+                # row checks are budgeted at a quarter of the cared 0-positions
+                budget = cared_zeros.bit_count() // 4
+                if name == "not narrowed":
+                    assert calls[:1] == ["_drop_by_columns"]
+                    path = "columns, not narrowed"
+                elif rows.bit_count() <= budget:
+                    assert calls[:1] == ["_drop_by_rows"]
+                    path = "rows"
+                else:
+                    assert calls[:2] == ["_drop_by_rows", "_drop_by_columns"]
+                    path = "handover" if budget else "columns at once"
+                taken = 1 if path in ("rows", "columns, not narrowed") else 2
+                del calls[:taken], drops[:taken]
+                seen.add((name, path))
+            assert calls == []
 
             mem.valid = valid
             calls.clear()
@@ -295,7 +323,9 @@ def test_read_paths_match_predicates_over_many_digits(monkeypatch):
             # the rows themselves are ORed up to class_bits of them
             assert calls == (["or_rows"] if len(live) > layout.class_bits else [])
             seen.add("union by columns" if calls else "union by rows")
-    assert seen == {"rows", "handover", "columns at once", "columns, not narrowed",
+    assert seen == {("escaped", "rows"), ("escaped", "handover"), ("escaped", "columns at once"),
+                    ("free", "rows"), ("free", "columns at once"),
+                    ("not narrowed", "columns, not narrowed"),
                     "union by rows", "union by columns"}
 
 
@@ -468,6 +498,64 @@ def test_condense_matches_row_by_row_on_both_sides_of_the_walk(monkeypatch):
     assert seen == {(kind, branch) for kind in (CommandKind.PREDICT_FEATURE,
                                                 CommandKind.PREDICT_LOCATION)
                     for branch in ("walk", "scan")}
+
+
+def test_exact_lookups_read_only_escaped_candidates():
+    """A well-formed lookup, one 1 in each section it cares about (the
+    STORE and DELETE, INFER, PREDICT_LOCATION and unpadded PREDICT_FEATURE
+    masks), matches as the predicate does, row by row. On an array of
+    one-hot rows it reads no row. On an array that mixes them with rows
+    held in full, it reads only escaped candidates, the rows holding every
+    cared 1-position, highest first, each code then its escape bytes, up to
+    the budget of a quarter of the cared 0-positions."""
+    layout = SdrLayout(16, 8, 4)
+    width = layout.total
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    ones = (1 << width) - 1
+    feature_s, location_s, class_s = ones ^ ((1 << (l + c)) - 1), ((1 << l) - 1) << c, (1 << c) - 1
+    dcs = (0, class_s, location_s | class_s, feature_s | class_s)
+    rng = random.Random(23)
+    seen = set()
+    for capacity in (64, 300):
+        mem, log = _spied_memory(layout, capacity, rng)
+        one_hot = MemoryArray(layout, capacity)
+        for _ in range(capacity):
+            one_hot.micro_store(layout.triplet(rng.randrange(f), rng.randrange(l),
+                                               rng.randrange(c)))
+        one_hot.valid = sum(1 << i for i in rng.sample(range(capacity), capacity // 10))
+        one_hot.micro_delete()
+        assert one_hot._escape is None
+        one_hot_log: list = []
+        one_hot._rows = _RowReadLog(one_hot._rows, one_hot_log, "code",
+                                    one_hot._codec.code_bytes)
+        for array, reads in ((one_hot, one_hot_log), (mem, log)):
+            table = [array.row(i) for i in range(capacity)]
+            coded = [value for value in table if not _escaped(layout, value)]
+            for _ in range(30):
+                query = Bits(rng.choice(coded) if rng.random() < 0.7 else layout.triplet(
+                    rng.randrange(f), rng.randrange(l), rng.randrange(c)).value, width)
+                dc = Bits(rng.choice(dcs), width)
+                scope = rng.choice(list(LookupScope))
+                array.valid = valid = rng.getrandbits(capacity)
+                scoped = array.occupied if scope is LookupScope.ALL else array.occupied & valid
+                cared_ones = query.value & ~dc.value
+                expected = candidates = 0
+                for i, value in enumerate(table):
+                    if scoped >> i & 1 and equality_match(Bits(value, width), query, dc):
+                        expected |= 1 << i
+                    if (scoped >> i & 1 and value & cared_ones == cared_ones
+                            and _escaped(layout, value)):
+                        candidates |= 1 << i
+                reads.clear()
+                assert array.micro_lookup(query, dc, scope) == (expected, expected != 0)
+                budget = ((ones ^ dc.value) & ~query.value).bit_count() // 4
+                checked = list(reversed(rows_of(candidates)))[:budget]
+                assert [r for r in reads if r != "scan"] == [
+                    (buffer, i) for i in checked for buffer in ("code", "escape")]
+                if checked:
+                    seen.add("escaped read")
+                    assert array is mem
+    assert seen == {"escaped read"}
 
 
 # --- validate ----------------------------------------------------------------------
@@ -1034,6 +1122,74 @@ def test_rows_read_back_through_their_codes(layout):
     # a clear drops the escape buffer with every row
     loaded.micro_clear()
     assert loaded._escape is None and loaded.to_image() == MemoryArray(layout, capacity).to_image()
+
+
+def _codes_escaped(mem):
+    """Row bitmap of the rows whose code is the escape code."""
+    k, escape = mem._codec.code_bytes, mem._codec.escape
+    return sum(1 << i for i in range(mem.capacity)
+               if int.from_bytes(mem._rows[i * k:(i + 1) * k], "big") == escape)
+
+
+def test_escaped_rows_follow_their_codes():
+    """MemoryArray._escaped, the rows a lookup checks one by one, is the
+    row bitmap of the rows whose code is the escape code, dead rows too:
+    after a store of either kind of row over the other, a delete, a clear
+    and an image load, and over a random run of them."""
+    layout = SdrLayout(3, 3, 3)
+    mem = MemoryArray(layout, 4)
+
+    def store(text):
+        return mem.micro_store(Bits.parse(text))
+
+    def delete(i):
+        mem.valid = 1 << i
+        mem.micro_delete()
+
+    assert mem._escaped == _codes_escaped(mem) == 0
+    assert (store("011|010|100"), store("001|010|100")) == (0, 1)
+    assert mem._escaped == _codes_escaped(mem) == 0b01
+    delete(0)  # a dead row keeps its code
+    assert mem._escaped == _codes_escaped(mem) == 0b01
+    assert store("100|001|001") == 0  # coded over escaped
+    assert mem._escaped == _codes_escaped(mem) == 0
+    delete(1)
+    assert store("110|100|010") == 1  # escaped over coded
+    assert mem._escaped == _codes_escaped(mem) == 0b10
+    assert store("110|100|001") == 2
+    mem.micro_reset()
+    loaded = MemoryArray.from_image(mem.to_image(), layout)
+    assert loaded._escaped == _codes_escaped(loaded) == mem._escaped == 0b110
+    mem.micro_clear()
+    assert mem._escaped == _codes_escaped(mem) == 0
+
+    # a random run over a wider layout: k-hot features and one-hot rows,
+    # stored over dead rows of either kind, released, cleared and reloaded
+    layout = SdrLayout(8, 4, 4)
+    f, l, c = layout.feature_bits, layout.location_bits, layout.class_bits
+    rng = random.Random(31)
+    mem = MemoryArray(layout, 16)
+    kinds = set()
+    for _ in range(600):
+        roll = rng.random()
+        if roll < 0.6:
+            feature = Bits(rng.randrange(1, 1 << f), f) if rng.random() < 0.4 else rng.randrange(f)
+            value = layout.triplet(feature, rng.randrange(l), rng.randrange(c))
+            live = {mem.row(i) for i in rows_of(mem.occupied)}
+            if value.value not in live and mem.micro_store(value) is not None:
+                kinds.add(_escaped(layout, value.value))
+        elif roll < 0.9:
+            mem.valid = rng.getrandbits(mem.capacity)
+            mem.micro_delete()
+        elif roll < 0.97:
+            mem.micro_reset()
+            mem = MemoryArray.from_image(mem.to_image(), layout)
+        else:
+            mem.micro_clear()
+        assert mem._escaped == _codes_escaped(mem)
+        assert mem._escaped == sum(_escaped(layout, mem.row(i)) << i
+                                   for i in range(mem.capacity))
+    assert kinds == {True, False}
 
 
 def test_full_scale_array_holds_no_object_per_row():

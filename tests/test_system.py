@@ -8,10 +8,12 @@ import random
 import pytest
 
 from nertcam import (Bits, BusyError, CommandKind, ConfigError, Controller,
-                     InputError, LayoutError, MacroCommand, NertcamConfig, Outcome,
-                     PaddingMode, PredictionOutput, Response, SdrLayout, System)
+                     ControllerState, CycleTrace, InputError, LayoutError, MacroCommand,
+                     NertcamConfig, Outcome, PaddingMode, PredictionOutput, Response,
+                     SdrLayout, System)
 from nertcam.prediction_map import zero_output
 from nertcam.state_machine import Completion
+from nertcam.system import _output_free
 from nertcam.traces import TraceRecord, record_to_command
 from nertcam.workload import fuzz_records
 from reference import split
@@ -207,10 +209,10 @@ def test_run_steps_the_controller_once_per_cycle(monkeypatch):
     steps = 0
     original = Controller.step
 
-    def spy(self):
+    def spy(self, *args):
         nonlocal steps
         steps += 1
-        return original(self)
+        return original(self, *args)
 
     monkeypatch.setattr(Controller, "step", spy)
     config = NertcamConfig(SdrLayout(16, 25, 8), 64, padding_mode=PaddingMode.grid(5, 5))
@@ -223,6 +225,106 @@ def test_run_steps_the_controller_once_per_cycle(monkeypatch):
         kinds.add((rec.op, resp.cycles))
     assert {k for k, _ in kinds} == {k.value for k in CommandKind}
     assert {c for _, c in kinds} == {1, 2, 3, 4}
+
+
+# every row of the controller's transition table, as step() traces it:
+# (command, SDR, then per cycle: from, to, micro-op, valid_entry, outcome)
+STEPPED = [
+    ("STORE", "001|010|100", [("SS", "FL", "lookup", False, None),
+                              ("FL", "IR", "store", False, None),
+                              ("IR", "SS", "reset", False, "SUCCESS")]),
+    ("STORE", "001|010|100", [("SS", "FL", "lookup", True, None),
+                              ("FL", "SS", "reset", True, "STORE_FAILED")]),
+    ("STORE", "010|100|010", [("SS", "FL", "lookup", False, None),
+                              ("FL", "IR", "store", False, None),
+                              ("IR", "SS", "reset", False, "SUCCESS")]),
+    ("STORE", "100|001|001", [("SS", "FL", "lookup", False, None),
+                              ("FL", "IR", "store", False, None),
+                              ("IR", "SS", "reset", False, "STORE_FAILED")]),
+    ("INFER", "001|010|000", [("SS", "FL", "lookup", True, None),
+                              ("FL", "SS", "validate", True, "SUCCESS")]),
+    ("INFER", "010|100|000", [("SS", "FL", "lookup", False, None),
+                              ("FL", "IR", "reset", False, None),
+                              ("IR", "SL", "lookup", True, None),
+                              ("SL", "SS", "validate", True, "CONTEXT_SWITCH")]),
+    ("INFER", "100|100|000", [("SS", "FL", "lookup", False, None),
+                              ("FL", "IR", "reset", False, None),
+                              ("IR", "SL", "lookup", False, None),
+                              ("SL", "SS", "reset", False, "INFER_FAILED")]),
+    ("PREDICT_FEATURE", "000|010|000", [("SS", "SS", "lookup", True, "SUCCESS")]),
+    ("PREDICT_LOCATION", "010|000|000", [("SS", "SS", "lookup", True, "SUCCESS")]),
+    ("DELETE", "001|010|100", [("SS", "FL", "lookup", True, None),
+                               ("FL", "IR", "delete", True, None),
+                               ("IR", "SS", "reset", True, "SUCCESS")]),
+    ("DELETE", "001|010|100", [("SS", "FL", "lookup", False, None),
+                               ("FL", "SS", "reset", False, "DELETE_FAILED")]),
+    ("RESET", "000|000|000", [("SS", "SS", "reset", False, "SUCCESS")]),
+    ("CLEAR", "000|000|000", [("SS", "SS", "clear", False, "SUCCESS")]),
+]
+
+
+def test_step_yields_one_cycle_trace_per_cycle():
+    """step() yields one CycleTrace per cycle, numbered on from the last,
+    over every row of the transition table; run() steps its controller
+    without them and leaves the same responses and cycle count behind."""
+    stepped, ran = make_system(capacity=2), make_system(capacity=2)
+    cycle = 0
+    for kind, text, expected in STEPPED:
+        command = cmd(CommandKind(kind), text)
+        assert stepped.submit(command)
+        traces = []
+        while (trace := stepped.step()) is not None:
+            assert type(trace) is CycleTrace
+            traces.append(trace)
+        assert traces == [CycleTrace(cycle + n, ControllerState(before), ControllerState(after),
+                                     micro, valid, outcome and Outcome(outcome))
+                          for n, (before, after, micro, valid, outcome) in enumerate(expected, 1)]
+        cycle += len(expected)
+        assert ran.run(command) == stepped.response
+        assert ran.total_cycles == stepped.total_cycles == cycle
+    # an untraced step advances the controller alike and returns nothing
+    for traced in (True, False):
+        system = make_system()
+        system.submit(cmd(CommandKind.STORE, "001|010|100"))
+        assert [system.controller.step(traced) is None for _ in range(3)] == [not traced] * 3
+        assert system.controller.completion.cycles == 3
+        assert system.controller.step(traced) is None
+
+
+def test_output_free_responses_are_shared_per_layout():
+    """CLEAR, RESET, STORE, DELETE and INFER_FAILED answer with one frozen
+    Response per (outcome, full, cycles), built on first use and shared by
+    every device of a layout, whether run() or step() completed the command.
+    Each equals a freshly built one. No device builds them at construction."""
+    layout = SdrLayout(5, 4, 3)
+    config = NertcamConfig(layout, 6)
+    devices = [System(config), System(NertcamConfig(SdrLayout(5, 4, 3), 6))]
+    assert _output_free not in layout.shared
+    stepped = System(config)
+    shared: dict = {}
+    for rec in fuzz_records(layout, 3000, seed=13):
+        command = record_to_command(rec, layout)
+        responses = [device.run(command) for device in devices]
+        assert stepped.submit(command)
+        while stepped.step() is not None:
+            pass
+        responses.append(stepped.response)
+        first = responses[0]
+        assert responses[1:] == [first] * 2
+        if rec.op in ("CLEAR", "RESET", "STORE", "DELETE") or (
+                first.outcome is Outcome.INFER_FAILED):
+            key = (first.outcome, first.full, first.cycles)
+            assert first == Response(first.outcome, first.full, zero_output(layout), first.cycles)
+            assert all(r is shared.setdefault(key, first) for r in responses)
+        else:
+            assert first is not responses[1]
+    assert layout.shared[_output_free] == shared
+    assert 10 <= len(shared) <= 40
+    # another layout builds its own
+    other = System(NertcamConfig(SdrLayout(5, 4, 4), 6))
+    reset = other.run(MacroCommand(CommandKind.RESET, Bits.zeros(13)))
+    assert reset.prediction == zero_output(other.layout)
+    assert reset is not shared[(Outcome.SUCCESS, False, 1)]
 
 
 def test_construction_builds_no_bits(monkeypatch):
