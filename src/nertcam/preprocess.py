@@ -209,14 +209,32 @@ def build_dc(cmd: MacroCommand, layout: SdrLayout,
     ignores location and class. CLEAR/RESET never reach the memory, their
     mask is all-zero by convention. Padding widens the location section of
     a PREDICT_FEATURE mask, the only kind validate_command lets carry it;
-    every other mask is shared.
+    every other mask is shared. A padded mask's value is built once per
+    (grid rows, grid cols, padding, location), on first use, and kept as
+    an int in layout.shared; each command still gets a Bits of its own. A
+    padding past the location width is keyed as that width, whose window
+    it equals, so the memo holds at most width * width values per mode.
     """
     kind = cmd.kind
-    base = _masks(layout).get(kind)
+    # built masks are a non-empty dict: no call once the layout has them
+    base = (layout.shared.get(_masks) or _masks(layout)).get(kind)
     if base is None:
         raise InputError(f"unknown command kind {kind!r}")
-    if not cmd.padding or kind is not _PREDICT_FEATURE:
+    padding = cmd.padding
+    if not padding or kind is not _PREDICT_FEATURE:
         return base
     l, c = layout.location_bits, layout.class_bits
     location = (cmd.sdr.value >> c) & ((1 << l) - 1)
-    return Bits(base.value | _window(location, l, cmd.padding, mode) << c, base.width)
+    if padding > l:  # every padding from l up gives the whole section
+        padding = l
+    windows = layout.shared.get(_window)
+    if windows is None:
+        windows = layout.shared[_window] = {}
+    # ints only, so no dataclass __hash__ runs, and the grid shape keeps a
+    # line's windows apart from a grid's
+    key = (mode.rows, mode.cols, padding, location)
+    value = windows.get(key)
+    if value is None:
+        # _window raises for a location that is not one-hot, so none is kept
+        value = windows[key] = base.value | _window(location, l, padding, mode) << c
+    return Bits(value, base.width)

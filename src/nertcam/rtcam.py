@@ -45,7 +45,11 @@ rows as the columns it would scan. Candidates that no cared 1-position
 narrowed skip the walk. Each walk step slices its row's code out of the
 buffer and decodes it inline, three table lookups ORed, with the tables
 bound once per walk: a call to row() would add a method call and a range
-check, about half as much again as the read. So a micro-op
+check, about half as much again as the read. Validate reads only the
+class field, from the code's last byte when it fits there, and a drop
+over candidates that are all escaped reads only their escape bytes. A
+lookup right after a reset, every valid bit 1, skips ANDing in the valid
+bits. So a micro-op
 costs a number of big-integer operations set by the layout width, not by
 the row count. Lookup and validate apply no popcount, negation or
 complement to a row bitmap, and store finds its free row without a
@@ -148,6 +152,9 @@ class LookupScope(Enum):
     ALL = "all"
 
 
+_ALL = LookupScope.ALL
+
+
 class MemoryArray:
     """Fixed-capacity bit-sliced array with the six micro-ops.
 
@@ -237,8 +244,10 @@ class MemoryArray:
         q = query.value
         care = ((1 << total) - 1) ^ dc.value
         match = self.occupied
-        if scope is not LookupScope.ALL:
-            match &= self.valid
+        valid = self.valid
+        # after a reset or clear every row is valid, and occupied needs no AND
+        if scope is not _ALL and valid is not self._all_rows:
+            match &= valid
         cols = self._cols
         cared = ones = q & care
         while ones and match:  # AND the cared 1-positions' columns, highest first
@@ -282,6 +291,9 @@ class MemoryArray:
         """
         rows = self._rows
         k, w, escape, fa, cw, lm, cm, ft, lt, ct, _ = self._codec
+        # candidates all held in full, as on lookup's pass over the escaped
+        # ones, need no code read to tell so
+        escaped = match & self._escaped == match
         budget = zeros.bit_count() >> 2
         left = match
         while left and budget:
@@ -290,7 +302,7 @@ class MemoryArray:
             row = 1 << i
             left ^= row
             j = i * k
-            code = _from_bytes(rows[j:j + k], "big")
+            code = escape if escaped else _from_bytes(rows[j:j + k], "big")
             if code == escape:
                 j = i * w
                 value = _from_bytes(self._escape[j:j + w], "big")
@@ -322,13 +334,18 @@ class MemoryArray:
         Unions the class sections of the currently valid rows, then re-marks
         as valid exactly the non-empty rows whose class section meets that
         union. The union ORs the rows themselves when there are at most
-        class_bits of them, and the class columns otherwise.
+        class_bits of them, and the class columns otherwise. A walked row's
+        class field, the lowest in its code, is read as one byte subscript,
+        the code's last byte, when the field is at most 8 bits wide, and
+        from the sliced code otherwise; an escaped row's value is then
+        read from the escape buffer.
         """
         c = self.layout.class_bits
         live = self.valid & self.occupied
         rows = self._rows
-        codec = self._codec
-        k, cm, classes = codec.code_bytes, codec.class_mask, codec.classes
+        k, w, _, _, _, _, cm, _, _, classes, _ = self._codec
+        # the class field is the code's lowest, and all ones only in escape
+        in_byte = cm < 256
         union = 0
         budget = c
         left = live
@@ -336,9 +353,12 @@ class MemoryArray:
             budget -= 1
             i = left.bit_length() - 1
             j = i * k
-            # the class field is the code's lowest, and all ones only in escape
-            field = _from_bytes(rows[j:j + k], "big") & cm
-            union |= classes[field] if field != cm else self.row(i)
+            field = (rows[j + k - 1] if in_byte else _from_bytes(rows[j:j + k], "big")) & cm
+            if field == cm:
+                j = i * w
+                union |= _from_bytes(self._escape[j:j + w], "big")
+            else:
+                union |= classes[field]
             left ^= 1 << i
         if left:
             # the class section is the lowest, so column k is class bit k

@@ -28,6 +28,10 @@ The store micro-op can find no empty row; that is detected on cycle 2 and
 reported on cycle 3 with the full flag asserted, keeping the success-path
 length. PREDICT's lookup restores the valid bits within its single cycle so
 a prediction never disturbs an identification in progress.
+
+Controller.step is this table: one if-chain whose branches follow its
+rows in order, so that a cycle costs one Python call besides its
+micro-op, and finishing a command costs none.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ _SS, _FL, _IR, _SL = (ControllerState.SS, ControllerState.FL,
                       ControllerState.IR, ControllerState.SL)
 _CLEAR, _RESET = CommandKind.CLEAR, CommandKind.RESET
 _STORE, _DELETE = CommandKind.STORE, CommandKind.DELETE
+_INFER = CommandKind.INFER
 _PREDICT_FEATURE = CommandKind.PREDICT_FEATURE
 _PREDICT_LOCATION = CommandKind.PREDICT_LOCATION
 _SUCCESS, _CONTEXT_SWITCH = Outcome.SUCCESS, Outcome.CONTEXT_SWITCH
@@ -137,109 +142,83 @@ class Controller:
         return True
 
     def step(self, trace: bool = True) -> CycleTrace | None:
-        """Advance one clock cycle; no-op when idle. Returns the cycle's
-        CycleTrace, or None when idle or when trace is false: System.run
-        steps without one, since it reads only the completion."""
+        """Advance one clock cycle: run the micro-op of the module
+        docstring's table row for the state, the command and the last
+        lookup's result, and move to that row's next state. A no-op when
+        idle. Returns the cycle's CycleTrace, or None when idle or when
+        trace is false: System.run steps without one, since it reads only
+        the completion."""
         p = self._pending
         if p is None:
             return None
         before = self.state
         self.cycle_count += 1
         p.cycles += 1
-        if before is _SS:
-            micro = self._step_ss(p)
-        elif before is _FL:
-            micro = self._step_fl(p)
-        elif before is _IR:
-            micro = self._step_ir(p)
-        else:
-            micro = self._step_sl(p)
-        if trace:
-            return _tuple_new(CycleTrace, (self.cycle_count, before, self.state, micro,
-                                           self.memory.valid_entry, p.outcome))
-        return None
-
-    # --- per-state actions -------------------------------------------------
-
-    def _step_ss(self, p: Completion) -> str:
         kind = p.kind
         mem = self.memory
-        if kind is _CLEAR:
-            mem.micro_clear()
-            self._finish(p, _SUCCESS)
-            return "clear"
-        if kind is _RESET:
-            mem.micro_reset()
-            self._finish(p, _SUCCESS)
-            return "reset"
-        if kind is _PREDICT_FEATURE or kind is _PREDICT_LOCATION:
-            saved = mem.valid
-            matched, _ = mem.micro_lookup(p.query, p.dc, _VALID_ONLY)
-            mem.valid = saved
-            self._finish(p, _SUCCESS, matched=matched)
-            return "lookup"
-        if kind is _STORE or kind is _DELETE:
-            # duplicate / target search: exact match over every row
-            mem.micro_lookup(p.query, p.dc, _ALL)
-        else:  # INFER narrows within the currently valid rows
-            mem.micro_lookup(p.query, p.dc, _VALID_ONLY)
-        self.state = _FL
-        return "lookup"
-
-    def _step_fl(self, p: Completion) -> str:
-        mem = self.memory
-        hit = mem.valid_entry
-        if p.kind is _STORE:
-            if hit:
+        # a row that ends the command sets its outcome, and classes or
+        # matched when it has them
+        after = _SS
+        outcome = None
+        if before is _SS:
+            if kind is _CLEAR:
+                mem.micro_clear()
+                micro, outcome = "clear", _SUCCESS
+            elif kind is _RESET:
                 mem.micro_reset()
-                self._finish(p, _STORE_FAILED)
-                return "reset"
-            p.store_full = mem.micro_store(p.query) is None
-            self.state = _IR
-            return "store"
-        if p.kind is _DELETE:
-            if hit:
-                mem.micro_delete()
-                self.state = _IR
-                return "delete"
+                micro, outcome = "reset", _SUCCESS
+            elif kind is _PREDICT_FEATURE or kind is _PREDICT_LOCATION:
+                saved = mem.valid
+                p.matched, _ = mem.micro_lookup(p.query, p.dc, _VALID_ONLY)
+                mem.valid = saved
+                micro, outcome = "lookup", _SUCCESS
+            else:
+                # STORE and DELETE search every row for an exact match; INFER
+                # narrows within the currently valid rows
+                mem.micro_lookup(p.query, p.dc, _VALID_ONLY if kind is _INFER else _ALL)
+                micro, after = "lookup", _FL
+        elif before is _FL:
+            hit = mem.valid_entry
+            if kind is _STORE:
+                if hit:
+                    mem.micro_reset()
+                    micro, outcome = "reset", _STORE_FAILED
+                else:
+                    p.store_full = mem.micro_store(p.query) is None
+                    micro, after = "store", _IR
+            elif kind is _DELETE:
+                if hit:
+                    mem.micro_delete()
+                    micro, after = "delete", _IR
+                else:
+                    mem.micro_reset()
+                    micro, outcome = "reset", _DELETE_FAILED
+            elif hit:  # INFER
+                p.classes = mem.micro_validate()
+                micro, outcome = "validate", _SUCCESS
+            else:
+                mem.micro_reset()
+                micro, after = "reset", _IR
+        elif before is _IR:
+            if kind is _INFER:
+                # the retry: every valid bit is 1 here, so this searches everything
+                mem.micro_lookup(p.query, p.dc, _VALID_ONLY)
+                micro, after = "lookup", _SL
+            else:
+                mem.micro_reset()
+                micro, outcome = "reset", _STORE_FAILED if p.store_full else _SUCCESS
+        elif mem.valid_entry:  # SL, INFER
+            p.classes = mem.micro_validate()
+            micro, outcome = "validate", _CONTEXT_SWITCH
+        else:
             mem.micro_reset()
-            self._finish(p, _DELETE_FAILED)
-            return "reset"
-        # INFER
-        if hit:
-            classes = mem.micro_validate()
-            self._finish(p, _SUCCESS, classes=classes)
-            return "validate"
-        mem.micro_reset()
-        self.state = _IR
-        return "reset"
-
-    def _step_ir(self, p: Completion) -> str:
-        mem = self.memory
-        if p.kind is _STORE or p.kind is _DELETE:
-            mem.micro_reset()
-            self._finish(p, _STORE_FAILED if p.store_full else _SUCCESS)
-            return "reset"
-        # INFER retry: every valid bit is 1 here, so this searches everything
-        mem.micro_lookup(p.query, p.dc, _VALID_ONLY)
-        self.state = _SL
-        return "lookup"
-
-    def _step_sl(self, p: Completion) -> str:
-        mem = self.memory
-        if mem.valid_entry:
-            classes = mem.micro_validate()
-            self._finish(p, _CONTEXT_SWITCH, classes=classes)
-            return "validate"
-        mem.micro_reset()
-        self._finish(p, _INFER_FAILED)
-        return "reset"
-
-    def _finish(self, p: Completion, outcome: Outcome,
-                classes: Bits | None = None, matched: int | None = None) -> None:
-        p.outcome = outcome
-        p.classes = classes
-        p.matched = matched
-        self.completion = p
-        self.state = _SS
-        self._pending = None
+            micro, outcome = "reset", _INFER_FAILED
+        self.state = after
+        if outcome is not None:
+            p.outcome = outcome
+            self.completion = p
+            self._pending = None
+        if trace:
+            return _tuple_new(CycleTrace, (self.cycle_count, before, after, micro,
+                                           mem.valid_entry, outcome))
+        return None

@@ -5,13 +5,15 @@ device is idle; each step() call advances exactly one clock cycle and
 returns that cycle's CycleTrace. The preprocess and prediction-map blocks
 are combinational and consume no cycles; only controller transitions do.
 
-run() is the per-command path: it submits, then drives the controller one
-step per cycle itself, without going through step(). Both paths hand the
-controller's completion to the Response through _respond(), so run()
-returns, and leaves behind, exactly what a manual submit() and step() loop
-would. total_cycles is the controller's own cycle counter, so both paths
-count alike; it counts on across image loads, which keep the controller
-and point it at the new memory.
+run() is the per-command path: it validates the command, builds its DC
+mask and arms the controller, as submit() does but without calling it,
+then drives the controller one step per cycle itself, without going
+through step(). Both paths hand the controller's completion to the
+Response through _respond(), so run() returns, and leaves behind, exactly
+what a manual submit() and step() loop would. total_cycles is the
+controller's own cycle counter, so both paths count alike; it counts on
+across image loads, which keep the controller and point it at the new
+memory.
 
 The per-command path is kept lean, because with the array bit-sliced the
 Python calls around it cost more than the array operations. The value
@@ -28,12 +30,17 @@ an int index inline; each calls a helper only to raise an error or to
 take a k-hot feature. Width checks compare inline and call check_width
 only to raise. run() and Controller.accept read the pending command
 directly, not through the busy property. run() steps the controller
-with its trace off, so no CycleTrace is built, and a command with no
-output (CLEAR, RESET, STORE, DELETE and INFER_FAILED) answers with a
-Response shared per layout, one per (outcome, full, cycles), built on
-first use rather than with the System. Each layer stays one called
-function (validate_command, build_dc, Controller.step once per cycle,
-each micro-op and condense), so a traced run still sees every span.
+with its trace off, so no CycleTrace is built, and each step makes its
+whole transition, so that a cycle costs one call to the controller
+besides its micro-op. build_dc and _respond read the DC masks and the
+zero output from layout.shared themselves, and call the functions that
+build them only on first use. A padded PREDICT_FEATURE's mask value is built once per
+padding and location (see build_dc). A command with no output
+(CLEAR, RESET, STORE, DELETE and INFER_FAILED) answers with a Response
+shared per layout, one per (outcome, full, cycles), built on first use
+rather than with the System. Each layer stays one called function
+(validate_command, build_dc, Controller.step once per cycle, each
+micro-op and condense), so a traced run still sees every span.
 """
 
 from __future__ import annotations
@@ -161,12 +168,18 @@ class System:
         return trace
 
     def run(self, cmd: MacroCommand) -> Response:
-        """submit(), then one controller step per cycle until the command
-        completes; returns the Response a manual step() loop would leave."""
+        """submit()'s checks and arming, then one controller step per cycle
+        until the command completes; returns the Response a manual step()
+        loop would leave. Raises BusyError while a command is in flight, and
+        submit()'s errors for a malformed command, with nothing armed."""
         controller = self.controller
         if controller._pending is not None:
             raise BusyError("run() requires an idle device")
-        self.submit(cmd)
+        # submit()'s steps, inline: its accept() cannot fail on an idle device
+        config = self.config
+        layout = config.layout
+        validate_command(cmd, layout, config.khot_features)
+        controller.accept(cmd.kind, cmd.sdr, build_dc(cmd, layout, config.padding_mode))
         while controller.completion is None:
             controller.step(False)
         return self._respond()
@@ -180,7 +193,9 @@ class System:
         if done.matched is not None:  # a PREDICT's lookup
             prediction = condense(done.matched, done.kind, memory)
         elif done.classes is not None:  # an INFER's validated classes
-            zero = zero_output(memory.layout)
+            layout = memory.layout
+            # a built zero output is truthy: no call once the layout has one
+            zero = layout.shared.get(zero_output) or zero_output(layout)
             prediction = PredictionOutput(zero.features, zero.locations, done.classes)
         else:
             self.response = _output_free(memory.layout, done.outcome, memory.full, done.cycles)

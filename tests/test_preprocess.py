@@ -5,6 +5,7 @@ import pytest
 from nertcam import (Bits, CommandKind, InputError, LayoutError, MacroCommand,
                      NertcamConfig, PaddingMode, SdrLayout, System, build_dc, concat,
                      validate_command)
+from nertcam import preprocess
 from nertcam.preprocess import LINEAR_1D, _SHAPES, _check_section
 from reference import equality_match, ones, padding_window, split
 
@@ -156,6 +157,73 @@ def test_dc_never_pads_feature_or_class():
         f, _, c = split(layout, mask)
         assert str(f) == "1111"
         assert str(c) == "1111"
+
+
+
+def _location(layout, mask):
+    """A DC mask's location section, as Bits."""
+    return split(layout, mask)[1]
+
+
+def test_padded_windows_are_built_once_per_mode_padding_and_location(monkeypatch):
+    """_window runs once per (mode, padding, location) over repeated padded
+    PREDICT_FEATUREs, line and grid alike; each mask still equals
+    padding_window and is a Bits of its own. A padding past the location
+    width reuses that width's windows, which it equals."""
+    calls = []
+    original = preprocess._window
+
+    def spy(location, width, padding, mode):
+        calls.append((mode, padding, location))
+        return original(location, width, padding, mode)
+
+    monkeypatch.setattr(preprocess, "_window", spy)
+    # no other test pads at this layout, so no window of it is built yet
+    layout = SdrLayout(4, 6, 3)
+    modes = (LINEAR_1D, PaddingMode.grid(2, 3), PaddingMode.grid(3, 2))
+    masks = []
+    for _ in range(3):
+        for mode in modes:
+            for padding in (1, 2, 6, 7, 1000):
+                for hot in range(6):
+                    command = MacroCommand(CommandKind.PREDICT_FEATURE,
+                                           layout.triplet(location=hot), padding=padding)
+                    mask = build_dc(command, layout, mode)
+                    window = padding_window(Bits.one_hot(6, hot), padding, mode)
+                    assert _location(layout, mask) == window
+                    masks.append(mask)
+    assert len(set(map(id, masks))) == len(masks)
+    # paddings 7 and 1000 are keyed as 6, the location width
+    assert sorted(map(repr, calls)) == sorted(
+        repr((mode, padding, 1 << (5 - hot)))
+        for mode in modes for padding in (1, 2, 6) for hot in range(6))
+
+
+def test_line_and_grid_devices_of_one_layout_keep_their_own_windows():
+    """A line device and a 5x5-grid device of one 16,25,8 layout, run in
+    turn in one process, each get the window padding_window gives for its
+    own mode, at every location and at paddings 1 and 2, which stay apart."""
+    layout = SdrLayout(16, 25, 8)
+    modes = (LINEAR_1D, PaddingMode.grid(5, 5))
+    systems = [System(NertcamConfig(layout, 16, mode)) for mode in modes]
+    for _ in range(2):
+        for hot in range(25):
+            location = Bits.one_hot(25, hot)
+            windows = {}
+            for padding in (1, 2, 1):
+                for system, mode in zip(systems, modes):
+                    command = MacroCommand(CommandKind.PREDICT_FEATURE,
+                                           layout.triplet(location=hot), padding=padding)
+                    config = system.config
+                    mask = build_dc(command, config.layout, config.padding_mode)
+                    window = padding_window(location, padding, mode)
+                    assert _location(layout, mask) == window
+                    assert windows.setdefault((mode, padding), mask) == mask
+                    # the device itself: its lookup runs under that mask
+                    assert system.run(command).cycles == 1
+            # paddings 1 and 2 differ at every location, on the line and the grid
+            for mode in modes:
+                assert windows[mode, 1] != windows[mode, 2]
 
 
 # --- padding windows ---------------------------------------------------------------

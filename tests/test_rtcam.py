@@ -354,16 +354,20 @@ def test_or_rows_matches_row_by_row_or_over_many_digits():
 
 class _RowReadLog(bytearray):
     """A row buffer of size bytes a row that logs (name, row index) for each
-    row read, so that a test can tell which rows a walk read."""
+    row read, a slice or a single byte, so that a test can tell which rows a
+    walk read."""
 
     def __init__(self, items, log, name, size):
         super().__init__(items)
         self.log = log
         self.name = name
         self.size = size
+        self.keys = []  # each read's subscript, an int or a slice
 
     def __getitem__(self, key):
-        self.log.append((self.name, key.start // self.size))
+        start = key if isinstance(key, int) else key.start
+        self.log.append((self.name, start // self.size))
+        self.keys.append(key)
         return super().__getitem__(key)
 
 
@@ -506,7 +510,7 @@ def test_exact_lookups_read_only_escaped_candidates():
     masks), matches as the predicate does, row by row. On an array of
     one-hot rows it reads no row. On an array that mixes them with rows
     held in full, it reads only escaped candidates, the rows holding every
-    cared 1-position, highest first, each code then its escape bytes, up to
+    cared 1-position, highest first, each one's escape bytes alone, up to
     the budget of a quarter of the cared 0-positions."""
     layout = SdrLayout(16, 8, 4)
     width = layout.total
@@ -550,8 +554,7 @@ def test_exact_lookups_read_only_escaped_candidates():
                 assert array.micro_lookup(query, dc, scope) == (expected, expected != 0)
                 budget = ((ones ^ dc.value) & ~query.value).bit_count() // 4
                 checked = list(reversed(rows_of(candidates)))[:budget]
-                assert [r for r in reads if r != "scan"] == [
-                    (buffer, i) for i in checked for buffer in ("code", "escape")]
+                assert [r for r in reads if r != "scan"] == [("escape", i) for i in checked]
                 if checked:
                     seen.add("escaped read")
                     assert array is mem
@@ -629,6 +632,83 @@ def test_validate_with_no_valid_rows():
     classes = mem.micro_validate()
     assert classes == Bits.zeros(3)
     assert not mem.valid & mem.occupied
+
+
+
+@pytest.mark.parametrize("layout", [SdrLayout(16, 8, 4), SdrLayout(4, 4, 300)])
+def test_validate_walk_reads_the_class_byte_then_escape_bytes(layout):
+    """Up to class_bits valid rows, validate walks them highest first and
+    reads each one once: a class field of at most 8 bits as the code's last
+    byte alone, a wider one in the sliced code, and an escaped row's escape
+    bytes right after. Its union and closure equal the predicates."""
+    width = layout.total
+    ones = (1 << width) - 1
+    rng = random.Random(31)
+    mem, log = _spied_memory(layout, 64, rng)
+    k = mem._codec.code_bytes
+    narrow = (layout.class_bits + 1).bit_length() <= 8
+    seen = set()
+    for count in (0, 1, 2, 3, 4):
+        valid = _edge_rows(rng, 64, count)
+        live = valid & mem.occupied
+        mem.valid = valid
+        log.clear()
+        mem._rows.keys.clear()
+        classes = mem.micro_validate()
+        assert mem._rows.keys == [i * k + k - 1 if narrow else slice(i * k, (i + 1) * k)
+                                  for i in reversed(rows_of(live))]
+        # the closure then scans the class columns of the union
+        assert _read_once(mem, [r for r in log if r != "scan"], live)
+        seen.update(_escaped(layout, mem.row(i)) for i in rows_of(live))
+        union = 0
+        for c in range(layout.class_bits):
+            query, dc = Bits(1 << c, width), Bits(ones ^ 1 << c, width)
+            if any(membership_match(Bits(mem.row(i), width), query, dc) for i in rows_of(live)):
+                union |= 1 << c
+        assert classes == Bits(union, layout.class_bits)
+    assert seen == {True, False}
+
+
+def test_validate_of_a_class_field_wider_than_a_byte_matches_predicates():
+    """At 4,4,300 the class field is 9 bits, so validate reads it from the
+    sliced code. On coded and escaped rows, dead ones among them, its union
+    and closure equal membership_match row by row, by the walk and by the
+    column OR."""
+    layout = SdrLayout(4, 4, 300)
+    assert (layout.class_bits + 1).bit_length() > 8
+    width = layout.total
+    ones = (1 << width) - 1
+    rng = random.Random(37)
+    seen = set()
+    for capacity in (8, 400):
+        for _ in range(20):
+            mem = MemoryArray(layout, capacity)
+            for _ in range(capacity):
+                mem.micro_store(Bits(rng.getrandbits(width), width) if rng.random() < 0.5
+                                else layout.triplet(rng.randrange(4), rng.randrange(4),
+                                                    rng.randrange(300)))
+            mem.valid = sum(1 << i for i in rng.sample(range(capacity), capacity // 10))
+            mem.micro_delete()
+            valid = rng.choice(((1 << capacity) - 1,
+                                rng.getrandbits(capacity) & rng.getrandbits(capacity)))
+            mem.valid = valid
+            live = rows_of(valid & mem.occupied)
+            classes = mem.micro_validate()
+            union = 0
+            rows = [Bits(mem.row(i), width) for i in range(capacity)]
+            for c in range(layout.class_bits):
+                query, dc = Bits(1 << c, width), Bits(ones ^ 1 << c, width)
+                if any(membership_match(rows[i], query, dc) for i in live):
+                    union |= 1 << c
+            assert classes == Bits(union, layout.class_bits)
+            query, dc = Bits(union, width), Bits(ones ^ union, width)
+            closed = sum(1 << i for i in rows_of(mem.occupied)
+                         if membership_match(rows[i], query, dc))
+            assert mem.valid == closed
+            assert mem.valid_entry is (closed != 0)
+            seen.add("walk" if len(live) <= layout.class_bits else "columns")
+            seen.update(_escaped(layout, rows[i].value) for i in live)
+    assert seen == {"walk", "columns", True, False}
 
 
 # --- store / delete ---------------------------------------------------------------

@@ -154,6 +154,38 @@ def test_run_while_busy_raises():
         system.run(cmd(CommandKind.RESET, "000|000|000"))
 
 
+
+@pytest.mark.parametrize("bad", [
+    cmd(CommandKind.INFER, "001|010|100"),                 # class set on an INFER
+    cmd(CommandKind.STORE, "011|010|100"),                 # two-hot feature
+    cmd(CommandKind.STORE, "001|010|100", padding=1),      # padding off PREDICT_FEATURE
+    cmd(CommandKind.PREDICT_FEATURE, "000|010|000", padding=-1),
+    MacroCommand(CommandKind.STORE, Bits.parse("0010101")),  # wrong width
+], ids=["infer-class", "two-hot", "store-padding", "negative-padding", "width"])
+def test_run_raises_what_submit_raises_and_changes_nothing(bad):
+    """run() checks a command as submit() does: a malformed one raises the
+    same error, and leaves the device idle with its response, valid bits and
+    cycle count as they were. A busy device raises BusyError first."""
+    errors = []
+    for use_run in (True, False):
+        system = make_system()
+        store(system, "001|010|100")
+        store(system, "010|100|010")
+        response = system.run(cmd(CommandKind.INFER, "001|010|000"))
+        valid, cycles = system.memory.valid, system.total_cycles
+        with pytest.raises((InputError, LayoutError)) as raised:
+            (system.run if use_run else system.submit)(bad)
+        errors.append((type(raised.value), str(raised.value)))
+        assert not system.busy and system.controller.state is ControllerState.SS
+        assert system.response is response
+        assert (system.memory.valid, system.total_cycles) == (valid, cycles)
+    assert errors[0] == errors[1]
+    busy = make_system()
+    assert busy.submit(cmd(CommandKind.STORE, "001|010|100"))
+    with pytest.raises(BusyError):
+        busy.run(bad)
+
+
 def test_run_equals_manual_stepping():
     stream = [
         cmd(CommandKind.STORE, "001|010|100"),
